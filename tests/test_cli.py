@@ -66,10 +66,11 @@ def test_tol_flag_overrides_consistency_threshold(tmp_path):
 
 
 def test_golden_machine_reports():
-    for name in ("eq23", "eq27-split"):
+    for name in BUILTIN_SOURCES:
+        path = GOLDEN / f"{name}.machine.json"
+        assert path.is_file(), f"built-in {name!r} has no machine golden"
         result = qhist("run-builtin", name, "--format", "machine")
-        golden = (GOLDEN / f"{name}.machine.json").read_text(encoding="utf-8")
-        assert result.stdout == golden
+        assert result.stdout == path.read_text(encoding="utf-8"), name
 
 
 def test_golden_chsh_machine():
