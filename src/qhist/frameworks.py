@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dynamics import schedules_equal
 from .histories import (
     Event,
@@ -88,14 +86,10 @@ def query(f: Family, p: Proposition, tol: float = EPS_CONS) -> QueryResult:
     if p.projector.dim != f.dim:
         raise ValueError("proposition dimension does not match the family")
 
-    branch: dict[str, np.ndarray] = {}
-    for h in f.histories:
-        ev = h.events[p.time_index - 1]
-        branch.setdefault(ev.label, ev.projector.matrix)
-
     mat = p.projector.matrix
     absorbed: set[str] = set()
-    for label, event_mat in branch.items():
+    for label, event in f._branches[p.time_index - 1].items():
+        event_mat = event.matrix
         if not commutes(mat, event_mat, EPS_OP):
             return QueryResult.meaningless(
                 f"projector {p.projector.label!r} does not commute with event "
@@ -157,16 +151,13 @@ def refine(f: Family, g: Family, tol: float = EPS_CONS) -> Family:
     if not schedules_equal(f.schedule, g.schedule):
         raise ValueError("refine needs families with the same dynamics")
 
-    n = f.grid.n_events
-    for k in range(n):
-        f_events = {h.events[k].label: h.events[k].projector.matrix for h in f.histories}
-        g_events = {h.events[k].label: h.events[k].projector.matrix for h in g.histories}
-        for fl, fm in f_events.items():
-            for gl, gm in g_events.items():
-                if not commutes(fm, gm, EPS_OP):
+    for k, (f_events, g_events) in enumerate(zip(f._branches, g._branches), start=1):
+        for fl, fp in f_events.items():
+            for gl, gp in g_events.items():
+                if not commutes(fp.matrix, gp.matrix, EPS_OP):
                     raise IncompatibleFrameworks(
                         "non-commuting",
-                        f"events {fl!r} and {gl!r} at time {k + 1} do not commute",
+                        f"events {fl!r} and {gl!r} at time {k} do not commute",
                     )
 
     histories: dict[tuple[str, ...], History] = {}

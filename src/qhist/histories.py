@@ -93,6 +93,9 @@ class Family:
     grid: TimeGrid
     schedule: Schedule
     histories: tuple[History, ...]
+    # per event time k (position k - 1): the distinct events, {label: projector},
+    # in order of first appearance
+    _branches: tuple[dict[str, Projector], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         state = as_state(self.initial_state).copy()
@@ -111,7 +114,7 @@ class Family:
         if not self.histories:
             raise ValueError("family needs at least one history")
 
-        by_slot: dict[tuple[int, str], np.ndarray] = {}
+        branches = tuple({} for _ in range(n))
         seen: set[tuple[str, ...]] = set()
         for h in self.histories:
             if len(h.events) != n:
@@ -127,15 +130,15 @@ class Family:
                     raise ValueError(
                         f"event {ev.label!r} has dim {ev.projector.dim}, state has dim {dim}"
                     )
-                key = (k, ev.label)
-                known = by_slot.setdefault(key, ev.projector.matrix)
-                if max_abs(known - ev.projector.matrix) > EPS_OP:
+                known = branches[k - 1].setdefault(ev.label, ev.projector)
+                if max_abs(known.matrix - ev.projector.matrix) > EPS_OP:
                     raise ValueError(
                         f"label {ev.label!r} at time {k} bound to two different projectors"
                     )
             if h.labels in seen:
                 raise ValueError(f"duplicate history {h.labels}")
             seen.add(h.labels)
+        object.__setattr__(self, "_branches", branches)
 
     @property
     def dim(self) -> int:
@@ -165,58 +168,51 @@ class ConsistencyReport:
     probability_sum: float
 
 
-def _heisenberg_matrices(f: Family) -> list[dict[str, np.ndarray]]:
-    """Per event time (1-based position k-1 in the list), the distinct event
-    projectors conjugated back to t0."""
+def _chain_kets(f: Family, tol: float = EPS_CONS) -> tuple[np.ndarray, bool]:
+    """One walk of the event-prefix tree: the N x dim array of chain kets, one
+    row per history, and whether every live node passes the exhaustiveness
+    test. A node whose ket has norm <= tol is dead: it carries no probability,
+    so neither it nor anything below it is tested, but its kets are still
+    computed."""
     t0 = f.grid.times[0]
-    out: list[dict[str, np.ndarray]] = []
-    for k in range(1, f.grid.n_events + 1):
+    hei = []
+    for k, branches in enumerate(f._branches, start=1):
         u = propagator(f.schedule, t0, f.grid.time_at(k))
-        slot: dict[str, np.ndarray] = {}
-        for h in f.histories:
-            ev = h.events[k - 1]
-            if ev.label not in slot:
-                slot[ev.label] = u.conj().T @ ev.projector.matrix @ u
-        out.append(slot)
-    return out
+        hei.append({label: u.conj().T @ p.matrix @ u for label, p in branches.items()})
+    n = f.grid.n_events
+    kets = np.empty((len(f.histories), f.dim), dtype=complex)
+    exhaustive = True
+
+    def walk(indices: list[int], depth: int, chi: np.ndarray, dead: bool) -> None:
+        nonlocal exhaustive
+        if depth == n:
+            kets[indices[0]] = chi  # labels are unique, so a leaf is one history
+            return
+        groups: dict[str, list[int]] = {}
+        for i in indices:
+            groups.setdefault(f.histories[i].events[depth].label, []).append(i)
+        children = [(hei[depth][label] @ chi, idx) for label, idx in groups.items()]
+        dead = dead or np.linalg.norm(chi) <= tol
+        if exhaustive and not dead:
+            covered = sum(child for child, _ in children)
+            exhaustive = not np.linalg.norm(covered - chi) > tol  # a NaN residual passes
+        for child, idx in children:
+            walk(idx, depth + 1, child, dead)
+
+    walk(list(range(len(f.histories))), 0, f.initial_state, False)
+    return kets, exhaustive
 
 
 def chain_ket(h: History, f: Family) -> np.ndarray:
     """|alpha> = P^(alpha_n) ... P^(alpha_1)|psi0>; may be zero, is not normalized."""
-    f.history_index(h)
-    ket = f.initial_state
-    t0 = f.grid.times[0]
-    for ev in h.events:
-        u = propagator(f.schedule, t0, f.grid.time_at(ev.time_index))
-        ket = u.conj().T @ (ev.projector.matrix @ (u @ ket))
-    return ket
+    return _chain_kets(f)[0][f.history_index(h)]
 
 
 def history_overlap(h1: History, h2: History, f: Family) -> complex:
     """Chain-ket inner product <alpha|beta>, conjugate-symmetric in (h1, h2)."""
-    return complex(np.vdot(chain_ket(h1, f), chain_ket(h2, f)))
-
-
-def _branch_exhaustive(f: Family, hei: list[dict[str, np.ndarray]], tol: float) -> bool:
-    n = f.grid.n_events
-
-    def walk(indices: list[int], depth: int, chi: np.ndarray) -> bool:
-        if depth == n:
-            return True
-        if np.linalg.norm(chi) <= tol:
-            return True  # dead branch carries no probability
-        groups: dict[str, list[int]] = {}
-        for i in indices:
-            groups.setdefault(f.histories[i].events[depth].label, []).append(i)
-        covered = sum(hei[depth][label] @ chi for label in groups)
-        if np.linalg.norm(covered - chi) > tol:
-            return False
-        return all(
-            walk(idx, depth + 1, hei[depth][label] @ chi)
-            for label, idx in groups.items()
-        )
-
-    return walk(list(range(len(f.histories))), 0, f.initial_state)
+    i, j = f.history_index(h1), f.history_index(h2)
+    kets = _chain_kets(f)[0]
+    return complex(np.vdot(kets[i], kets[j]))
 
 
 def check_consistency(f: Family, tol: float = EPS_CONS) -> ConsistencyReport:
@@ -225,23 +221,13 @@ def check_consistency(f: Family, tol: float = EPS_CONS) -> ConsistencyReport:
     Returns a verdict, never raises: inconsistent families are legal values,
     they just cannot be assigned probabilities.
     """
-    hei = _heisenberg_matrices(f)
-    kets = []
-    for h in f.histories:
-        ket = f.initial_state
-        for k, ev in enumerate(h.events):
-            ket = hei[k][ev.label] @ ket
-        kets.append(ket)
-
-    probabilities = tuple(float(np.vdot(k, k).real) for k in kets)
-    violating = []
-    for i in range(len(kets)):
-        for j in range(i + 1, len(kets)):
-            ov = complex(np.vdot(kets[i], kets[j]))
-            if abs(ov) > tol:
-                violating.append((i + 1, j + 1, ov))
-
-    exhaustive = _branch_exhaustive(f, hei, tol)
+    kets, exhaustive = _chain_kets(f, tol)
+    overlaps = kets.conj() @ kets.T  # D = K^dag K
+    probabilities = tuple(overlaps.diagonal().real.tolist())
+    violating = tuple(
+        (i + 1, j + 1, complex(overlaps[i, j]))
+        for i, j in np.argwhere(np.triu(np.abs(overlaps) > tol, 1)).tolist()
+    )
     probability_sum = float(sum(probabilities))
     # for exhaustive + orthogonal families the weights sum to <psi0|psi0>;
     # the explicit conjunct keeps the report's invariant airtight at loose tol
@@ -249,7 +235,7 @@ def check_consistency(f: Family, tol: float = EPS_CONS) -> ConsistencyReport:
     return ConsistencyReport(
         consistent=consistent,
         exhaustive=exhaustive,
-        violating_pairs=tuple(violating),
+        violating_pairs=violating,
         probabilities=probabilities,
         probability_sum=probability_sum,
     )

@@ -52,7 +52,7 @@ import numpy as np
 
 from .dynamics import Schedule, Segment, TimeGrid
 from .histories import Event, Family, History
-from .linalg import as_projector, identity, normalized, tensor
+from .linalg import Projector, as_projector, identity, normalized, tensor
 from .spin import NAMED_DIRECTIONS, Direction, basis_for, spin_operator
 
 SUBSYSTEMS = ("A", "B")
@@ -622,21 +622,30 @@ def _embed(matrix: np.ndarray, subsystem: str, spins: int) -> np.ndarray:
     return tensor(identity(2), matrix)
 
 
-def _factor_matrix(f: EventFactor, spins: int, psi_states: dict[int, np.ndarray]):
-    if f.kind == "identity":
-        return identity(2 ** spins)
-    if f.kind == "psi":
-        v = psi_states[f.time_index]
-        return np.outer(v, v.conj())
-    b = basis_for(f.direction)
-    vec = b.plus if f.sign > 0 else b.minus
-    return _embed(np.outer(vec, vec.conj()), f.subsystem, spins)
+def _event_projector(spec: EventSpec, spins: int, psi0: np.ndarray, grid: TimeGrid,
+                     schedule: Schedule) -> Projector:
+    """Certify the product of an event's factors as one projector, labelled
+    with the event token; a ``psiK`` factor projects onto psi0 evolved to tK."""
+    from .dynamics import propagator
+
+    mat = None
+    for f in spec:
+        if f.kind == "identity":
+            m = identity(2 ** spins)
+        elif f.kind == "psi":
+            v = propagator(schedule, grid.times[0], grid.time_at(f.time_index)) @ psi0
+            m = np.outer(v, v.conj())
+        else:
+            b = basis_for(f.direction)
+            vec = b.plus if f.sign > 0 else b.minus
+            m = _embed(np.outer(vec, vec.conj()), f.subsystem, spins)
+        mat = m if mat is None else mat @ m
+    return as_projector(mat, render_event(spec))
 
 
 def build_scenario(doc: ScenarioDoc) -> BuiltScenario:
-    """Resolve a parsed document into state, schedule and Family objects."""
-    from .dynamics import propagator
-
+    """Resolve a parsed document into state, schedule and Family objects; each
+    distinct (time, event token) is certified once and shared."""
     dim = 2 ** doc.spins
     psi0 = _state_vector(doc.state, doc.spins)
     grid = TimeGrid(doc.times)
@@ -649,29 +658,19 @@ def build_scenario(doc: ScenarioDoc) -> BuiltScenario:
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 
-    psi_states: dict[int, np.ndarray] = {}
-    needs_psi = {
-        f.time_index
-        for fam in doc.families
-        for row in fam.histories
-        for ev in row
-        for f in ev
-        if f.kind == "psi"
-    }
-    for k in sorted(needs_psi):
-        psi_states[k] = propagator(schedule, grid.times[0], grid.time_at(k)) @ psi0
-
+    certified: dict[tuple[int, str], Projector] = {}
     families = []
     for fam in doc.families:
         histories = []
         for row in fam.histories:
             events = []
             for position, spec in enumerate(row, start=1):
-                mat = _factor_matrix(spec[0], doc.spins, psi_states)
-                for f in spec[1:]:
-                    mat = mat @ _factor_matrix(f, doc.spins, psi_states)
                 label = render_event(spec)
-                events.append(Event(position, as_projector(mat, label), label))
+                proj = certified.get((position, label))
+                if proj is None:
+                    proj = _event_projector(spec, doc.spins, psi0, grid, schedule)
+                    certified[position, label] = proj
+                events.append(Event(position, proj, label))
             histories.append(History(tuple(events)))
         try:
             families.append((fam.name, Family(psi0, grid, schedule, tuple(histories))))
@@ -687,28 +686,16 @@ def proposition_projector(built: BuiltScenario, token: str):
     so the bare identity token is rejected here.
     """
     spec = parse_event_token(token, built.doc.spins)
-    if any(f.kind == "identity" for f in spec):
-        if len(spec) == 1:
-            raise ValidationError(
-                "the identity token '1' carries no time index; query a labelled event")
-    times = {f.time_index for f in spec}
-    time_index = times.pop()
+    if spec[0].kind == "identity":  # '1' stands alone, see parse_event_token
+        raise ValidationError(
+            "the identity token '1' carries no time index; query a labelled event")
+    time_index = spec[0].time_index
     n = built.grid.n_events
     if not 1 <= time_index <= n:
         raise ValidationError(
             f"event {token!r} carries time index {time_index}, grid has event times 1..{n}")
-    psi_states: dict[int, np.ndarray] = {}
-    if any(f.kind == "psi" for f in spec):
-        from .dynamics import propagator
-
-        psi_states[time_index] = (
-            propagator(built.schedule, built.grid.times[0], built.grid.time_at(time_index))
-            @ built.initial_state
-        )
-    mat = _factor_matrix(spec[0], built.doc.spins, psi_states)
-    for f in spec[1:]:
-        mat = mat @ _factor_matrix(f, built.doc.spins, psi_states)
-    return as_projector(mat, render_event(spec)), time_index
+    return _event_projector(spec, built.doc.spins, built.initial_state, built.grid,
+                            built.schedule), time_index
 
 
 # ---------------------------------------------------------------------------
