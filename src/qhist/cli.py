@@ -9,10 +9,10 @@ Verbs::
     qhist list-builtin                     names of the built-in scenarios
     qhist run-builtin <name>               check a built-in scenario
 
-Common flags: ``--tol`` overrides the consistency tolerance, ``--format
-text|machine`` selects the rendering. Exit codes: 0 when every family checked
-out consistent (or the verb has no verdict), 3 when some family is
-inconsistent, 2 on parse or validation errors.
+Common flags: ``--tol`` overrides the consistency tolerance (finite and
+positive, else exit 2), ``--format text|machine`` selects the rendering. Exit
+codes: 0 when every family checked out consistent (or the verb has no
+verdict), 3 when some family is inconsistent, 2 on parse or validation errors.
 """
 
 from __future__ import annotations
@@ -157,6 +157,16 @@ def _cmd_chsh(args) -> int:
     return EXIT_OK
 
 
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qhist",
@@ -166,8 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=EPS_CONS,
-                       help="consistency tolerance (default %(default)g)")
+        p.add_argument("--tol", type=_tolerance, default=EPS_CONS,
+                       help="consistency tolerance, finite and positive "
+                            "(default %(default)g)")
         p.add_argument("--format", choices=("text", "machine"), default="text",
                        help="output rendering (default %(default)s)")
 

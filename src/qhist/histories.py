@@ -23,12 +23,23 @@ A family is a valid sample space (a "framework") when two conditions hold:
 * orthogonality: all pairwise overlaps <alpha|beta> vanish, so the histories
   do not interfere.
 
+Both come from one walk of that prefix tree. Each node's ket is multiplied
+once, by the Heisenberg projectors of the events branching off it; the
+leaves are the N chain kets, stacked as the rows of K, and the exhaustiveness
+test is taken at the inner nodes on the same pass. All overlaps then follow
+as one matrix, the decoherence functional D = K^dag K with
+D[a, b] = <alpha_a|alpha_b> (Gell-Mann & Hartle, Phys. Rev. D 47, 3345
+(1993)); its real diagonal holds the probabilities, and the family is
+orthogonal when no entry above the diagonal exceeds ``tol`` (Griffiths,
+J. Stat. Phys. 36, 219 (1984)).
+
 Probabilities of a family that fails the check are quantum-mechanically
 meaningless; asking for them raises :class:`QueryOnInconsistentFamily`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,7 +110,7 @@ class Family:
 
     def __post_init__(self):
         state = as_state(self.initial_state).copy()
-        if abs(np.linalg.norm(state) - 1.0) > EPS_NORM:
+        if not abs(np.linalg.norm(state) - 1.0) <= EPS_NORM:
             raise ValueError("initial state must be normalized")
         state.setflags(write=False)
         object.__setattr__(self, "initial_state", state)
@@ -218,9 +229,12 @@ def history_overlap(h1: History, h2: History, f: Family) -> complex:
 def check_consistency(f: Family, tol: float = EPS_CONS) -> ConsistencyReport:
     """Decide whether a family is a consistent framework.
 
-    Returns a verdict, never raises: inconsistent families are legal values,
-    they just cannot be assigned probabilities.
+    Returns a verdict for every family: inconsistent families are legal
+    values, they just cannot be assigned probabilities. The only raise is a
+    ValueError when ``tol`` is not finite and positive.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     kets, exhaustive = _chain_kets(f, tol)
     overlaps = kets.conj() @ kets.T  # D = K^dag K
     probabilities = tuple(overlaps.diagonal().real.tolist())

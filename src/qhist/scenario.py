@@ -32,10 +32,10 @@ Event tokens name a projector and the time it applies at:
 
 The K embedded in a token must match the token's position on its history
 line. Named states are direction tokens (``z+``), products (``z+*x-``) or
-``singlet``; explicit amplitude lists must be normalized (tolerance 1e-6;
-they are renormalized exactly on load). Schedule axes take an ``A``/``B``
-suffix on two-spin systems, and the segment Hamiltonian is omega times the
-spin component along the axis.
+``singlet``; explicit amplitude lists must be finite and normalized
+(tolerance 1e-6; they are renormalized exactly on load). Schedule axes take
+an ``A``/``B`` suffix on two-spin systems, and the segment Hamiltonian is
+omega times the spin component along the axis.
 
 Parsing is strict and positional: syntax problems raise :class:`ParseError`
 and semantic ones :class:`ValidationError`, both carrying the line (and
@@ -442,10 +442,13 @@ def _parse_state_section(section, spins: int, dim: int) -> StateSpec:
         amps = []
         for tok, col in toks:
             try:
-                amps.append(complex(tok))
+                amp = complex(tok)
             except ValueError:
                 raise ParseError(f"bad complex amplitude {tok!r}", ln,
                                  base + col - 1) from None
+            if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
+                raise ValidationError(f"amplitude {tok!r} is not finite", ln, base + col - 1)
+            amps.append(amp)
         vec = np.array(amps, dtype=complex)
         nrm = np.linalg.norm(vec)
         if abs(nrm - 1.0) > 1e-6:

@@ -65,6 +65,28 @@ def test_tol_flag_overrides_consistency_threshold(tmp_path):
     assert result.returncode == 0
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_tol_must_be_finite_and_positive(tol):
+    result = qhist("run-builtin", "eq23", "--tol", tol, "--format", "machine")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "finite and positive" in result.stderr
+
+
+def test_non_finite_amplitude_exits_2(tmp_path):
+    path = tmp_path / "nan.scenario"
+    path.write_text(
+        "[scenario]\nname = nan\n[system]\nspins = 1\n[state]\n"
+        "amplitudes = nan+0j 0+0j\n[grid]\ntimes = 0.0 1.0\n"
+        "[family f]\nhistory = z1+\nhistory = z1-\n"
+    )
+    result = qhist("check", str(path))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "line 6, column 14" in result.stderr and "not finite" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_golden_machine_reports():
     for name in BUILTIN_SOURCES:
         path = GOLDEN / f"{name}.machine.json"

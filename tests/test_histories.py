@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -130,6 +131,59 @@ def test_check_consistency_not_exhaustive():
     assert not report.exhaustive
     assert not report.consistent
     assert report.violating_pairs == ()
+    # depth 2: the root branches completely, but the live prefix x1- lacks z2-
+    rows = [
+        [("x1+", XP_PROJ), ("z2+", ZP_PROJ)],
+        [("x1+", XP_PROJ), ("z2-", ZM_PROJ)],
+        [("x1-", XM_PROJ), ("z2+", ZP_PROJ)],
+    ]
+    report = check_consistency(family_from_event_table(oracles.ZP, GRID3, FREE2, rows))
+    assert not report.exhaustive
+    assert not report.consistent
+
+
+def test_check_consistency_rejects_bad_tol():
+    fam = eq23_family()
+    for tol in (math.nan, math.inf, -1.0, 0.0):
+        with pytest.raises(ValueError, match="finite and positive"):
+            check_consistency(fam, tol)
+
+
+def test_check_consistency_matches_oracle_gram_on_ladder(rng):
+    # one spin in a y field, a random analyzer at each of 6 times: 64 histories
+    n, omega = 6, 1.3
+    grid = TimeGrid(tuple(float(k) for k in range(n + 1)))
+    sched = Schedule(dim=2, segments=(Segment(0.0, float(n), omega * oracles.SY),))
+    psi0 = oracles.ket(*oracles.random_direction(rng), +1)
+    dirs = [oracles.random_direction(rng) for _ in range(n)]
+    kets = {(d, sign): oracles.ket(*dirs[d], sign) for d in range(n) for sign in (1, -1)}
+    # first time fastest, so neighbouring histories interfere and prefixes interleave
+    signs = [row[::-1] for row in itertools.product((1, -1), repeat=n)]
+    rows = [
+        [(f"d{d}{sign:+d}", projector_onto(kets[d, sign])) for d, sign in enumerate(row)]
+        for row in signs
+    ]
+    report = check_consistency(family_from_event_table(psi0, grid, sched, rows))
+
+    chain_kets = [
+        oracles.chain(
+            [(oracles.proj(kets[d, sign]), oracles.rotation_y(omega * (d + 1)))
+             for d, sign in enumerate(row)],
+            psi0,
+        )
+        for row in signs
+    ]
+    gram = np.array([[np.vdot(a, b) for b in chain_kets] for a in chain_kets])
+    expected = {
+        (i + 1, j + 1): gram[i, j]
+        for i in range(len(signs)) for j in range(i + 1, len(signs))
+        if abs(gram[i, j]) > EPS_CONS
+    }
+    assert expected
+    assert [(i, j) for i, j, _ in report.violating_pairs] == sorted(expected)
+    for i, j, overlap in report.violating_pairs:
+        assert abs(overlap - expected[i, j]) <= 1e-12
+    assert np.max(np.abs(np.array(report.probabilities) - gram.diagonal().real)) <= 1e-12
 
 
 def _two_spin_direction_family(wa: Direction, wb: Direction):
@@ -306,6 +360,8 @@ def test_random_exhaustive_two_time_families_consistent(rng):
 def test_family_validation_errors():
     with pytest.raises(ValueError, match="normalized"):
         family_from_event_table(np.array([1.0, 1.0]), GRID2, FREE2, [[("z1+", ZP_PROJ)]])
+    with pytest.raises(ValueError, match="normalized"):
+        family_from_event_table(np.array([math.nan, 0.0]), GRID2, FREE2, [[("z1+", ZP_PROJ)]])
     with pytest.raises(ValueError, match="events"):
         family_from_event_table(oracles.ZP, GRID3, FREE2, [[("z1+", ZP_PROJ)]])
     with pytest.raises(ValueError, match="duplicate"):
@@ -337,3 +393,15 @@ def test_zero_probability_histories_are_harmless():
     report = check_consistency(fam)
     assert report.consistent
     assert report.probabilities == pytest.approx((1.0, 0.0, 0.0, 0.0), abs=EPS_CONS)
+    # a branch missing under the dead prefix z1- does not break exhaustiveness
+    report = check_consistency(family_from_event_table(oracles.ZP, GRID3, FREE2, rows[:3]))
+    assert report.exhaustive
+    assert report.consistent
+    assert report.probabilities == pytest.approx((1.0, 0.0, 0.0), abs=EPS_CONS)
+    # the prefix z1- has norm 1e-6, so it is dead at tol 1.5e-6 and live at the
+    # default tol; three labels for z2- below it leave a residual of 2e-6
+    psi0 = (oracles.ZP + 1e-6 * oracles.ZM) / math.sqrt(1.0 + 1e-12)
+    rows = rows[:2] + [[("z1-", ZM_PROJ), (label, ZM_PROJ)] for label in "abc"]
+    fam = family_from_event_table(psi0, GRID3, FREE2, rows)
+    assert check_consistency(fam, 1.5e-6).consistent
+    assert not check_consistency(fam).exhaustive

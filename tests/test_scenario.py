@@ -119,6 +119,14 @@ def test_non_normalized_amplitudes_rejected():
         parse_scenario(text)
 
 
+def test_non_finite_amplitudes_rejected():
+    for amps in ("nan+0j 0+0j", "1+0j 0+infj"):
+        text = MINIMAL.replace("named = z+", f"amplitudes = {amps}")
+        with pytest.raises(ValidationError, match="not finite") as info:
+            parse_scenario(text)
+        assert info.value.line is not None and info.value.column is not None
+
+
 def test_amplitude_state_round_trips_and_builds():
     amp = 1.0 / math.sqrt(2.0)
     text = MINIMAL.replace(
