@@ -95,6 +95,14 @@ def test_golden_machine_reports():
         assert result.stdout == path.read_text(encoding="utf-8"), name
 
 
+def test_golden_text_reports():
+    for name in BUILTIN_SOURCES:
+        path = GOLDEN / f"{name}.text.txt"
+        assert path.is_file(), f"built-in {name!r} has no text golden"
+        result = qhist("run-builtin", name)
+        assert result.stdout == path.read_text(encoding="utf-8"), name
+
+
 def test_golden_chsh_machine():
     result = qhist("chsh", "--format", "machine")
     golden = (GOLDEN / "chsh-default.machine.json").read_text(encoding="utf-8")
