@@ -44,7 +44,6 @@ from .dynamics import (
     Schedule,
     Segment,
     TimeGrid,
-    heisenberg_projector,
     propagator,
     schedules_equal,
 )
@@ -75,7 +74,6 @@ from .frameworks import (
 )
 from .bell import (
     EPS_BELL,
-    CorrelationTable,
     FactorizationCheck,
     JointDistribution,
     LambdaModel,
@@ -98,9 +96,7 @@ from .scenario import (
     ScenarioError,
     ValidationError,
     build_scenario,
-    builtin_names,
     builtin_scenario,
-    builtin_scenarios,
     parse_scenario,
     render_scenario,
 )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .spin import Direction, angle_between
 
@@ -46,29 +46,19 @@ class JointDistribution:
 
     def __post_init__(self):
         values = (self.pp, self.pm, self.mp, self.mm)
-        if any(p < -1e-12 for p in values):
+        if not all(p >= -1e-12 for p in values):  # NaN fails too
             raise ValueError("joint probabilities must be nonnegative")
-        if abs(sum(values) - 1.0) > 1e-9:
+        if not abs(sum(values) - 1.0) <= 1e-9:
             raise ValueError("joint probabilities must sum to 1")
 
     def prob(self, sign_a: int, sign_b: int) -> float:
-        return {(1, 1): self.pp, (1, -1): self.pm, (-1, 1): self.mp, (-1, -1): self.mm}[
-            (sign_a, sign_b)
-        ]
+        if sign_a > 0:
+            return self.pp if sign_b > 0 else self.pm
+        return self.mp if sign_b > 0 else self.mm
 
     @property
     def correlation(self) -> float:
         return self.pp + self.mm - self.pm - self.mp
-
-
-@dataclass(frozen=True)
-class CorrelationTable:
-    """Joint distributions for a list of settings pairs."""
-
-    entries: tuple[tuple[Settings, JointDistribution], ...]
-
-    def __iter__(self):
-        return iter(self.entries)
 
 
 @dataclass(frozen=True)
@@ -84,19 +74,11 @@ class LambdaTerm:
     response_b: Mapping[Direction, float]
 
     def __post_init__(self):
-        if self.weight < 0:
+        if not self.weight >= 0:  # NaN fails too
             raise ValueError("lambda weights must be nonnegative")
         for resp in (self.response_a, self.response_b):
             if any(not 0.0 <= p <= 1.0 for p in resp.values()):
                 raise ValueError("response probabilities must lie in [0, 1]")
-
-    def prob_a(self, direction: Direction, sign: int) -> float:
-        p = self.response_a[direction]
-        return p if sign > 0 else 1.0 - p
-
-    def prob_b(self, direction: Direction, sign: int) -> float:
-        p = self.response_b[direction]
-        return p if sign > 0 else 1.0 - p
 
 
 @dataclass(frozen=True)
@@ -111,14 +93,14 @@ class LambdaModel:
 
     def joint(self, s: Settings) -> JointDistribution:
         """Lambda-averaged joint distribution, factorizing term by term."""
-        probs = {}
-        for sa, sb in product(SIGNS, SIGNS):
-            probs[(sa, sb)] = sum(
-                t.weight * t.prob_a(s.a, sa) * t.prob_b(s.b, sb) for t in self.terms
-            )
-        return JointDistribution(
-            probs[(1, 1)], probs[(1, -1)], probs[(-1, 1)], probs[(-1, -1)]
-        )
+        pp = pm = mp = mm = 0.0
+        for t in self.terms:
+            a, b = t.response_a[s.a], t.response_b[s.b]  # P(+) on each side
+            pp += t.weight * a * b
+            pm += t.weight * a * (1.0 - b)
+            mp += t.weight * (1.0 - a) * b
+            mm += t.weight * (1.0 - a) * (1.0 - b)
+        return JointDistribution(pp, pm, mp, mm)
 
     def correlation(self, s: Settings) -> float:
         return self.joint(s).correlation
@@ -132,8 +114,9 @@ def singlet_joint(s: Settings) -> JointDistribution:
     return JointDistribution(pp=same, pm=diff, mp=diff, mm=same)
 
 
-def singlet_table(settings: list[Settings]) -> CorrelationTable:
-    return CorrelationTable(tuple((s, singlet_joint(s)) for s in settings))
+def singlet_table(settings: list[Settings]) -> tuple[tuple[Settings, JointDistribution], ...]:
+    """(settings, singlet joint distribution) for each settings pair, in order."""
+    return tuple((s, singlet_joint(s)) for s in settings)
 
 
 def correlation(s: Settings) -> float:
@@ -190,13 +173,13 @@ class FactorizationCheck(NamedTuple):
 
 
 def check_factorization(
-    model: LambdaModel, table: CorrelationTable, tol: float = EPS_BELL
+    model: LambdaModel, table: Iterable[tuple[Settings, JointDistribution]]
 ) -> FactorizationCheck:
     """Can the model's lambda-average reproduce the table?
 
     Each term factorizes by construction; the check is whether the averaged
-    joints match every table entry within tol. Returns the verdict along with
-    the worst absolute deviation (0.0 for an empty table, which passes
+    joints match every table entry within EPS_BELL. Returns the verdict along
+    with the worst absolute deviation (0.0 for an empty table, which passes
     vacuously).
     """
     worst = 0.0
@@ -204,4 +187,4 @@ def check_factorization(
         got = model.joint(settings)
         for sa, sb in product(SIGNS, SIGNS):
             worst = max(worst, abs(got.prob(sa, sb) - expected.prob(sa, sb)))
-    return FactorizationCheck(worst <= tol, worst)
+    return FactorizationCheck(worst <= EPS_BELL, worst)

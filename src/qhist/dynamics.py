@@ -11,15 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    EPS_OP,
-    Projector,
-    as_operator,
-    as_projector,
-    identity,
-    is_hermitian,
-    unitary_exp,
-)
+from .linalg import EPS_OP, as_operator, identity, is_hermitian, unitary_exp
 
 
 @dataclass(frozen=True)
@@ -58,7 +50,7 @@ class Segment:
         if not self.t_end > self.t_start:
             raise ValueError(f"segment interval [{self.t_start}, {self.t_end}) is empty")
         h = as_operator(self.hamiltonian).copy()
-        if not is_hermitian(h, EPS_OP):
+        if not is_hermitian(h):
             raise ValueError("segment Hamiltonian must be self-adjoint")
         h.setflags(write=False)
         object.__setattr__(self, "hamiltonian", h)
@@ -90,13 +82,13 @@ class Schedule:
         return cls(dim=dim)
 
 
-def schedules_equal(a: Schedule, b: Schedule, tol: float = EPS_OP) -> bool:
+def schedules_equal(a: Schedule, b: Schedule) -> bool:
     if a.dim != b.dim or len(a.segments) != len(b.segments):
         return False
     for sa, sb in zip(a.segments, b.segments):
         if sa.t_start != sb.t_start or sa.t_end != sb.t_end:
             return False
-        if np.max(np.abs(sa.hamiltonian - sb.hamiltonian)) > tol:
+        if np.max(np.abs(sa.hamiltonian - sb.hamiltonian)) > EPS_OP:
             return False
     return True
 
@@ -112,9 +104,3 @@ def propagator(schedule: Schedule, t_a: float, t_b: float) -> np.ndarray:
         if hi > lo:
             u = unitary_exp(seg.hamiltonian, hi - lo) @ u
     return u
-
-
-def heisenberg_projector(p: Projector, schedule: Schedule, t0: float, tk: float) -> Projector:
-    """Conjugate a projector back to the reference time: U(t0->tk)^dag P U(t0->tk)."""
-    u = propagator(schedule, t0, tk)
-    return as_projector(u.conj().T @ p.matrix @ u, p.label)

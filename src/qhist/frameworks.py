@@ -59,14 +59,6 @@ class QueryResult:
     def meaningful(self) -> bool:
         return self.probability is not None
 
-    @classmethod
-    def of(cls, p: float) -> "QueryResult":
-        return cls(probability=float(p))
-
-    @classmethod
-    def meaningless(cls, reason: str) -> "QueryResult":
-        return cls(probability=None, reason=reason)
-
 
 def query(f: Family, p: Proposition, tol: float = EPS_CONS) -> QueryResult:
     """Probability of a proposition relative to a family, or Meaningless.
@@ -90,18 +82,20 @@ def query(f: Family, p: Proposition, tol: float = EPS_CONS) -> QueryResult:
     absorbed: set[str] = set()
     for label, event in f._branches[p.time_index - 1].items():
         event_mat = event.matrix
-        if not commutes(mat, event_mat, EPS_OP):
-            return QueryResult.meaningless(
+        if not commutes(mat, event_mat):
+            return QueryResult(
+                None,
                 f"projector {p.projector.label!r} does not commute with event "
-                f"{label!r} at time {p.time_index}"
+                f"{label!r} at time {p.time_index}",
             )
         prod = mat @ event_mat
         if max_abs(prod - event_mat) <= EPS_OP:
             absorbed.add(label)
         elif max_abs(prod) > EPS_OP:
-            return QueryResult.meaningless(
+            return QueryResult(
+                None,
                 f"projector {p.projector.label!r} splits event {label!r} at time "
-                f"{p.time_index}; it is not a union of the family's alternatives"
+                f"{p.time_index}; it is not a union of the family's alternatives",
             )
 
     total = sum(
@@ -109,7 +103,7 @@ def query(f: Family, p: Proposition, tol: float = EPS_CONS) -> QueryResult:
         for h, prob in zip(f.histories, report.probabilities)
         if h.events[p.time_index - 1].label in absorbed
     )
-    return QueryResult.of(total)
+    return QueryResult(float(total))
 
 
 def conjunction(p: Proposition, q: Proposition) -> Proposition:
@@ -118,7 +112,7 @@ def conjunction(p: Proposition, q: Proposition) -> Proposition:
         raise ValueError("conjunction needs propositions at the same time")
     if p.projector.dim != q.projector.dim:
         raise ValueError("conjunction needs propositions of the same dimension")
-    if not commutes(p.projector.matrix, q.projector.matrix, EPS_OP):
+    if not commutes(p.projector.matrix, q.projector.matrix):
         raise IncompatibleProperties(
             f"{p.projector.label!r} and {q.projector.label!r} do not commute; "
             "no framework contains both"
@@ -154,25 +148,32 @@ def refine(f: Family, g: Family, tol: float = EPS_CONS) -> Family:
     for k, (f_events, g_events) in enumerate(zip(f._branches, g._branches), start=1):
         for fl, fp in f_events.items():
             for gl, gp in g_events.items():
-                if not commutes(fp.matrix, gp.matrix, EPS_OP):
+                if not commutes(fp.matrix, gp.matrix):
                     raise IncompatibleFrameworks(
                         "non-commuting",
                         f"events {fl!r} and {gl!r} at time {k} do not commute",
                     )
 
+    # one certified product per (time, f-label, g-label), made on first use;
+    # None marks a jointly impossible pair
+    products: dict[tuple[int, str, str], Event | None] = {}
     histories: dict[tuple[str, ...], History] = {}
     for hf in f.histories:
         for hg in g.histories:
             events = []
-            dead = False
             for ef, eg in zip(hf.events, hg.events):
-                prod = ef.projector.matrix @ eg.projector.matrix
-                if max_abs(prod) <= EPS_OP:
-                    dead = True  # jointly impossible branch: drop the history
-                    break
-                label = _joint_label(ef.label, eg.label)
-                events.append(Event(ef.time_index, as_projector(prod, label), label))
-            if not dead:
+                key = (ef.time_index, ef.label, eg.label)
+                if key not in products:
+                    prod = ef.projector.matrix @ eg.projector.matrix
+                    label = _joint_label(ef.label, eg.label)
+                    products[key] = (
+                        Event(ef.time_index, as_projector(prod, label), label)
+                        if max_abs(prod) > EPS_OP else None
+                    )
+                if products[key] is None:
+                    break  # jointly impossible branch: drop the history
+                events.append(products[key])
+            else:
                 h = History(tuple(events))
                 histories.setdefault(h.labels, h)
 

@@ -300,7 +300,7 @@ def collapse_family(
     if len(basis) != dim:
         raise ValueError(f"observable basis has {len(basis)} vectors, need {dim}")
     gram = np.array([[np.vdot(u, v) for v in basis] for u in basis])
-    if max_abs(gram - np.eye(dim)) > 1e-10:
+    if not max_abs(gram - np.eye(dim)) <= 1e-10:  # NaN entries fail too
         raise ValueError("observable basis is not orthonormal")
     if labels is None:
         labels = tuple(f"e{k}" for k in range(dim))
@@ -346,8 +346,8 @@ def family_from_event_table(
 ) -> Family:
     """Build a family from per-history rows of (label, projector) pairs.
 
-    ``None`` stands for the identity projector. A convenience for tests and
-    scenario construction; rows follow the grid's event times in order.
+    ``None`` stands for the identity projector; rows follow the grid's event
+    times in order.
     """
     psi0 = as_state(psi0)
     one = identity_projector(psi0.shape[0])

@@ -43,10 +43,6 @@ def inner(u, v) -> complex:
     return complex(np.vdot(u, v))
 
 
-def norm(v) -> float:
-    return float(np.linalg.norm(as_state(v)))
-
-
 def normalized(v) -> np.ndarray:
     """Return v / ||v||; rejects (near-)zero vectors."""
     v = as_state(v)
@@ -81,23 +77,18 @@ def max_abs(m) -> float:
     return float(np.max(np.abs(m))) if np.size(m) else 0.0
 
 
-def is_hermitian(m, tol: float = EPS_OP) -> bool:
+def is_hermitian(m) -> bool:
     m = as_operator(m)
-    return max_abs(m - m.conj().T) <= tol
+    return max_abs(m - m.conj().T) <= EPS_OP
 
 
-def is_unitary(u, tol: float = EPS_OP) -> bool:
-    u = as_operator(u)
-    return max_abs(u.conj().T @ u - identity(u.shape[0])) <= tol
-
-
-def commutes(p, q, tol: float = EPS_OP) -> bool:
-    """True iff the entrywise norm of [P, Q] is within tol."""
+def commutes(p, q) -> bool:
+    """True iff the entrywise norm of [P, Q] is within EPS_OP."""
     p = as_operator(p)
     q = as_operator(q)
     if p.shape != q.shape:
         raise ValueError(f"dimension mismatch: {p.shape[0]} vs {q.shape[0]}")
-    return max_abs(p @ q - q @ p) <= tol
+    return max_abs(p @ q - q @ p) <= EPS_OP
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,6 +106,8 @@ class Projector:
 
     def __post_init__(self):
         m = as_operator(self.matrix).copy()
+        if not np.isfinite(m).all():
+            raise ValueError(f"projector {self.label!r}: matrix has non-finite entries")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -126,17 +119,17 @@ class Projector:
         return f"Projector({self.label!r}, dim={self.dim})"
 
 
-def is_projector(m, tol: float = EPS_OP) -> bool:
+def is_projector(m) -> bool:
     m = as_operator(m)
-    return is_hermitian(m, tol) and max_abs(m @ m - m) <= tol
+    return is_hermitian(m) and max_abs(m @ m - m) <= EPS_OP
 
 
-def as_projector(m, label: str = "", tol: float = EPS_OP) -> Projector:
+def as_projector(m, label: str = "") -> Projector:
     """Certify a matrix as a projector; raises ValueError if it is not one."""
     m = as_operator(m)
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise ValueError(f"projector {label!r}: matrix is not self-adjoint")
-    if max_abs(m @ m - m) > tol:
+    if max_abs(m @ m - m) > EPS_OP:
         raise ValueError(f"projector {label!r}: matrix is not idempotent")
     return Projector(m, label)
 
@@ -147,8 +140,8 @@ def projector_onto(v, label: str = "") -> Projector:
     return Projector(np.outer(v, v.conj()), label)
 
 
-def identity_projector(dim: int, label: str = "1") -> Projector:
-    return Projector(identity(dim), label)
+def identity_projector(dim: int) -> Projector:
+    return Projector(identity(dim), "1")
 
 
 def unitary_exp(h, duration: float) -> np.ndarray:

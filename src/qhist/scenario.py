@@ -629,6 +629,7 @@ def _event_projector(spec: EventSpec, spins: int, psi0: np.ndarray, grid: TimeGr
                      schedule: Schedule) -> Projector:
     """Certify the product of an event's factors as one projector, labelled
     with the event token; a ``psiK`` factor projects onto psi0 evolved to tK."""
+    # imported at call time: perfbench/tracing.py wraps dynamics.propagator
     from .dynamics import propagator
 
     mat = None
@@ -959,16 +960,8 @@ history = xA1-*w(2.356194490192345,0.0)B1-
 """)
 
 
-def builtin_names() -> list[str]:
-    return list(BUILTIN_SOURCES)
-
-
 def builtin_scenario(name: str) -> ScenarioDoc:
     if name not in BUILTIN_SOURCES:
         known = ", ".join(BUILTIN_SOURCES)
         raise ValidationError(f"no built-in scenario {name!r} (have: {known})")
     return parse_scenario(BUILTIN_SOURCES[name])
-
-
-def builtin_scenarios() -> list[ScenarioDoc]:
-    return [parse_scenario(src) for src in BUILTIN_SOURCES.values()]

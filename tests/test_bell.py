@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import oracles
 from qhist.bell import (
     EPS_BELL,
-    CorrelationTable,
     JointDistribution,
     LambdaModel,
     LambdaTerm,
@@ -255,7 +254,7 @@ def test_check_factorization_empty_table_is_vacuous():
     model = LambdaModel(
         (LambdaTerm(weight=1.0, response_a={Z: 1.0}, response_b={Z: 0.0}),)
     )
-    verdict = check_factorization(model, CorrelationTable(()))
+    verdict = check_factorization(model, ())
     assert verdict.factorizes
     assert verdict.max_deviation == 0.0
 
@@ -265,6 +264,8 @@ def test_joint_distribution_validation():
         JointDistribution(0.5, 0.5, 0.5, 0.5)
     with pytest.raises(ValueError, match="nonnegative"):
         JointDistribution(-0.5, 0.5, 0.5, 0.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        JointDistribution(math.nan, 0.5, 0.25, 0.25)
 
 
 def test_lambda_model_validation():
@@ -274,6 +275,8 @@ def test_lambda_model_validation():
         LambdaTerm(1.0, {Z: 1.5}, {Z: 0.0})
     with pytest.raises(ValueError, match="nonnegative"):
         LambdaTerm(-1.0, {Z: 1.0}, {Z: 0.0})
+    with pytest.raises(ValueError, match="nonnegative"):
+        LambdaTerm(math.nan, {Z: 1.0}, {Z: 0.0})
 
 
 def test_joint_rows_sum_to_one(rng):

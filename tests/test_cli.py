@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 from qhist.scenario import BUILTIN_SOURCES
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def qhist(*args: str, stdin: str | None = None) -> subprocess.CompletedProcess:
@@ -240,3 +242,21 @@ def test_console_entry_point_matches_module():
     if script is not None:
         installed = subprocess.run([script, "list-builtin"], capture_output=True, text=True)
         assert (installed.stdout, installed.returncode) == (expected.stdout, expected.returncode)
+
+
+@pytest.mark.parametrize(
+    "script, args, line",
+    [
+        ("framework_demo.py", (), "in the x-framework: Prob(x+) = 0.5\n"),
+        ("chsh_scan.py", ("--steps", "8"), "best |S| = 2.82842712475 "),
+    ],
+)
+def test_scripts_run(script, args, line):
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert result.returncode == 0, result.stderr
+    assert line in result.stdout

@@ -8,16 +8,13 @@ from qhist.dynamics import (
     Schedule,
     Segment,
     TimeGrid,
-    heisenberg_projector,
     propagator,
     schedules_equal,
 )
 from qhist.linalg import (
     EPS_OP,
     identity,
-    is_projector,
     max_abs,
-    projector_onto,
     states_equal_up_to_phase,
     tensor,
 )
@@ -102,32 +99,6 @@ def test_propagator_unitary_and_composition(rng):
             assert max_abs(u02.conj().T @ u02 - identity(dim)) <= EPS_OP
             composed = propagator(s, t1, t2) @ propagator(s, t0, t1)
             assert max_abs(u02 - composed) <= 1e-12
-
-
-def test_heisenberg_projector_free_evolution():
-    p = projector_onto(oracles.XP, "x+")
-    moved = heisenberg_projector(p, Schedule.free(2), 0.0, 2.0)
-    assert np.allclose(moved.matrix, p.matrix)
-    assert moved.label == "x+"
-
-
-def test_heisenberg_projector_rotation_case():
-    # with U(t0->t1)|z+> = |x+>, the x+ event at t1 looks like [z+] at t0
-    omega = math.pi / 2
-    s = Schedule(dim=2, segments=(Segment(0.0, 1.0, omega * oracles.SY),))
-    moved = heisenberg_projector(projector_onto(oracles.XP, "x1+"), s, 0.0, 1.0)
-    u = oracles.rotation_y(math.pi / 2)
-    expected = u.conj().T @ oracles.proj(oracles.XP) @ u
-    assert np.allclose(moved.matrix, expected, atol=EPS_OP)
-    assert np.allclose(moved.matrix, oracles.proj(oracles.ZP), atol=EPS_OP)
-
-
-def test_heisenberg_projector_stays_projector(rng):
-    for _ in range(10):
-        s = _random_schedule(rng, 4)
-        v = oracles.random_state(rng, 4)
-        moved = heisenberg_projector(projector_onto(v), s, 0.0, 3.0)
-        assert is_projector(moved.matrix, EPS_OP)
 
 
 def test_schedules_equal():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from qhist import frameworks
 from qhist.dynamics import Schedule, TimeGrid
 from qhist.frameworks import (
     IncompatibleFrameworks,
@@ -16,11 +17,14 @@ from qhist.histories import (
     check_consistency,
     collapse_family,
     family_from_event_table,
+    replace_events_with_identity,
 )
 from qhist.linalg import (
     EPS_CONS,
+    EPS_OP,
     as_projector,
     identity_projector,
+    max_abs,
     projector_onto,
     tensor,
 )
@@ -216,6 +220,53 @@ def test_refine_preserves_query_answers():
     assert query(refined, p).probability == pytest.approx(
         query(fine, p).probability, abs=EPS_CONS
     )
+
+
+def test_refine_certifies_each_event_product_once(rng, monkeypatch):
+    # free spin along +z, z analyzers at t1..t4, a random analyzer at t5;
+    # refine the coarse-grainings that forget t2 and t4 respectively
+    n = 5
+    theta, phi = oracles.random_direction(rng)
+    rows = []
+    for signs in np.ndindex(*(2,) * n):
+        row = []
+        for k, s in enumerate(signs, start=1):
+            if k < n:
+                label, vec = f"z{k}{'+-'[s]}", (oracles.ZP, oracles.ZM)[s]
+            else:
+                label, vec = f"w{k}{'+-'[s]}", oracles.ket(theta, phi, 1 - 2 * s)
+            row.append((label, projector_onto(vec, label)))
+        rows.append(row)
+    fine = family_from_event_table(oracles.ZP, TimeGrid(tuple(range(n + 1))), FREE2, rows)
+    f = replace_events_with_identity(fine, 2)
+    g = replace_events_with_identity(fine, 4)
+
+    calls = []
+    certify = frameworks.as_projector
+
+    def counting(*args):
+        calls.append(args)
+        return certify(*args)
+
+    monkeypatch.setattr(frameworks, "as_projector", counting)
+    refined = refine(f, g)
+
+    # the reference multiplies every same-time event pair of every history pair
+    expected = {}
+    for hf in f.histories:
+        for hg in g.histories:
+            events = [(ef.label if eg.label in ("1", ef.label) else eg.label,
+                       ef.projector.matrix @ eg.projector.matrix)
+                      for ef, eg in zip(hf.events, hg.events)]
+            if all(max_abs(m) > EPS_OP for _, m in events):
+                expected.setdefault(tuple(label for label, _ in events), events)
+    assert [h.labels for h in refined.histories] == list(expected)
+    for h, events in zip(refined.histories, expected.values()):
+        for ev, (_, m) in zip(h.events, events):
+            assert np.array_equal(ev.projector.matrix, m)
+    # one certification per distinct refined event: z+/z- at t1..t4, w+/w- at t5
+    assert len(calls) == 2 * n
+    assert len({(ev.time_index, ev.label) for h in refined.histories for ev in h.events}) == 2 * n
 
 
 def test_refine_precondition_mismatches():

@@ -290,6 +290,8 @@ def test_collapse_family_tilted_basis(rng):
 def test_collapse_family_rejects_bad_basis():
     with pytest.raises(ValueError, match="orthonormal"):
         collapse_family(oracles.ZP, GRID3, FREE2, [oracles.ZP, oracles.ZP])
+    with pytest.raises(ValueError, match="orthonormal"):
+        collapse_family(oracles.ZP, GRID3, FREE2, [[math.nan, 0.0], oracles.ZM])
     with pytest.raises(ValueError, match="vectors"):
         collapse_family(oracles.ZP, GRID3, FREE2, [oracles.ZP])
 

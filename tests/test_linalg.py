@@ -9,13 +9,13 @@ import oracles
 from qhist.linalg import (
     EPS_NORM,
     EPS_OP,
+    Projector,
     as_projector,
     commutes,
     identity,
     identity_projector,
     inner,
     is_projector,
-    is_unitary,
     max_abs,
     normalized,
     projector_onto,
@@ -147,6 +147,8 @@ def test_projector_certification(rng):
         as_projector(np.diag([1.0, 0.5]))
     with pytest.raises(ValueError, match="self-adjoint"):
         as_projector(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        Projector(np.array([[math.nan, 0.0], [0.0, 1.0]]), "p")
 
 
 def test_projector_matrix_read_only():
@@ -213,10 +215,9 @@ def test_commutes_dimension_mismatch():
         commutes(identity(2), identity(4))
 
 
-def test_is_projector_and_is_unitary():
+def test_is_projector():
     assert is_projector(np.diag([1.0, 0.0, 1.0]))
     assert not is_projector(np.diag([1.0, 2.0]))
-    assert is_unitary(oracles.rotation_y(0.7))
 
 
 def test_normalized_rejects_zero():

@@ -17,9 +17,7 @@ from qhist.scenario import (
     ParseError,
     ValidationError,
     build_scenario,
-    builtin_names,
     builtin_scenario,
-    builtin_scenarios,
     parse_scenario,
     proposition_projector,
     render_scenario,
@@ -236,7 +234,7 @@ def test_crlf_input_parses():
 
 
 def test_builtin_catalog():
-    names = builtin_names()
+    names = list(BUILTIN_SOURCES)
     assert len(names) >= 12
     expected = {
         "eq10-born", "eq23", "eq23-identity-fix", "eq23-field-fix",
@@ -244,7 +242,6 @@ def test_builtin_catalog():
         "eq29-unitary", "eq30-collapse-x", "cat-analogue", "chsh-demo",
     }
     assert expected <= set(names)
-    assert len(builtin_scenarios()) == len(names)
     with pytest.raises(ValidationError, match="no built-in"):
         builtin_scenario("nope")
 
