@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping, NamedTuple
 
+from .linalg import EPS_BELL, EPS_NORM
 from .spin import Direction, angle_between
-
-EPS_BELL = 1e-9
 
 SIGNS = (+1, -1)
 
@@ -46,9 +45,9 @@ class JointDistribution:
 
     def __post_init__(self):
         values = (self.pp, self.pm, self.mp, self.mm)
-        if not all(p >= -1e-12 for p in values):  # NaN fails too
+        if not all(p >= -EPS_NORM for p in values):  # NaN fails too
             raise ValueError("joint probabilities must be nonnegative")
-        if not abs(sum(values) - 1.0) <= 1e-9:
+        if not abs(sum(values) - 1.0) <= EPS_BELL:
             raise ValueError("joint probabilities must sum to 1")
 
     def prob(self, sign_a: int, sign_b: int) -> float:
@@ -88,7 +87,7 @@ class LambdaModel:
     terms: tuple[LambdaTerm, ...]
 
     def __post_init__(self):
-        if abs(sum(t.weight for t in self.terms) - 1.0) > 1e-9:
+        if abs(sum(t.weight for t in self.terms) - 1.0) > EPS_BELL:
             raise ValueError("lambda weights must sum to 1")
 
     def joint(self, s: Settings) -> JointDistribution:

@@ -21,7 +21,7 @@ from .histories import (
     QueryOnInconsistentFamily,
     check_consistency,
 )
-from .linalg import EPS_CONS, EPS_OP, Projector, as_projector, commutes, max_abs
+from .linalg import EPS_CONS, EPS_OP, EPS_STATE, Projector, as_projector, commutes, max_abs
 
 
 class IncompatibleProperties(Exception):
@@ -138,7 +138,7 @@ def refine(f: Family, g: Family, tol: float = EPS_CONS) -> Family:
     pair does not commute, and with ``IncompatibleFrameworks("inconsistent")``
     if the product family fails the consistency check.
     """
-    if f.dim != g.dim or max_abs(f.initial_state - g.initial_state) > 1e-9:
+    if f.dim != g.dim or max_abs(f.initial_state - g.initial_state) > EPS_STATE:
         raise ValueError("refine needs families with the same initial state")
     if f.grid.times != g.grid.times:
         raise ValueError("refine needs families on the same time grid")

@@ -142,13 +142,16 @@ class Family:
                         f"event {ev.label!r} has dim {ev.projector.dim}, state has dim {dim}"
                     )
                 known = branches[k - 1].setdefault(ev.label, ev.projector)
+                if known is ev.projector:  # one certified object shared by many histories
+                    continue
                 if max_abs(known.matrix - ev.projector.matrix) > EPS_OP:
                     raise ValueError(
                         f"label {ev.label!r} at time {k} bound to two different projectors"
                     )
-            if h.labels in seen:
-                raise ValueError(f"duplicate history {h.labels}")
-            seen.add(h.labels)
+            labels = h.labels
+            if labels in seen:
+                raise ValueError(f"duplicate history {labels}")
+            seen.add(labels)
         object.__setattr__(self, "_branches", branches)
 
     @property
@@ -238,9 +241,9 @@ def check_consistency(f: Family, tol: float = EPS_CONS) -> ConsistencyReport:
     kets, exhaustive = _chain_kets(f, tol)
     overlaps = kets.conj() @ kets.T  # D = K^dag K
     probabilities = tuple(overlaps.diagonal().real.tolist())
+    rows, cols = np.argwhere(np.triu(np.abs(overlaps) > tol, 1)).T
     violating = tuple(
-        (i + 1, j + 1, complex(overlaps[i, j]))
-        for i, j in np.argwhere(np.triu(np.abs(overlaps) > tol, 1)).tolist()
+        zip((rows + 1).tolist(), (cols + 1).tolist(), overlaps[rows, cols].tolist())
     )
     probability_sum = float(sum(probabilities))
     # for exhaustive + orthogonal families the weights sum to <psi0|psi0>;
@@ -300,7 +303,7 @@ def collapse_family(
     if len(basis) != dim:
         raise ValueError(f"observable basis has {len(basis)} vectors, need {dim}")
     gram = np.array([[np.vdot(u, v) for v in basis] for u in basis])
-    if not max_abs(gram - np.eye(dim)) <= 1e-10:  # NaN entries fail too
+    if not max_abs(gram - np.eye(dim)) <= EPS_OP:  # NaN entries fail too
         raise ValueError("observable basis is not orthonormal")
     if labels is None:
         labels = tuple(f"e{k}" for k in range(dim))

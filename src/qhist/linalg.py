@@ -12,10 +12,34 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Tolerances used throughout the package.
-EPS_OP = 1e-10     # operator identities (hermiticity, idempotence, commutators)
-EPS_NORM = 1e-12   # state norms and probability sums
-EPS_CONS = 1e-10   # history-overlap consistency threshold
+# Every tolerance in the package, each with one meaning. Operator checks use
+# the entrywise max-norm (max_abs); the rest compare the scalar named.
+#
+#   EPS_OP     operator identities: P = P^dag, P @ P = P, [P, Q] = 0, a segment
+#              Hamiltonian H = H^dag, equal schedules, and an observable
+#              basis whose Gram matrix is the identity (collapse_family)
+#   EPS_NORM   | ||psi|| - 1 | of a state a Family or the Born rule accepts,
+#              and how far below 0 a Bell-table probability may round
+#   EPS_CONS   default ``tol`` of the consistency check (``--tol`` overrides):
+#              off-diagonal |D(a, b)|, exhaustiveness residuals, dead prefixes
+#   EPS_BELL   Bell tables and local models: the factorization deviation, and
+#              how far a joint table or a mixture's weights may sum from 1
+#   EPS_STATE  two unit states count as one: | |<u|v>| - 1 | in
+#              states_equal_up_to_phase, max-norm of the difference of the
+#              initial states that refine combines
+#   EPS_ZERO   the smallest norm that normalized() divides by
+#   EPS_INPUT_NORM  | ||a|| - 1 | of an amplitude list typed into a scenario
+#              file; the list is then renormalized exactly
+#
+# Reports additionally print magnitudes below 1e-12 as 0 (report.round12);
+# that is a rounding rule of the output, not a tolerance of any check.
+EPS_OP = 1e-10
+EPS_NORM = 1e-12
+EPS_CONS = 1e-10
+EPS_BELL = 1e-9
+EPS_STATE = 1e-9
+EPS_ZERO = 1e-14
+EPS_INPUT_NORM = 1e-6
 
 
 def as_state(v) -> np.ndarray:
@@ -47,7 +71,7 @@ def normalized(v) -> np.ndarray:
     """Return v / ||v||; rejects (near-)zero vectors."""
     v = as_state(v)
     n = np.linalg.norm(v)
-    if n < 1e-14:
+    if n < EPS_ZERO:
         raise ValueError("cannot normalize a zero vector")
     return v / n
 
@@ -158,7 +182,7 @@ def unitary_exp(h, duration: float) -> np.ndarray:
     return (vecs * phases) @ vecs.conj().T
 
 
-def states_equal_up_to_phase(u, v, tol: float = 1e-9) -> bool:
+def states_equal_up_to_phase(u, v, tol: float = EPS_STATE) -> bool:
     """Physical equality of unit vectors: |<u|v>| = 1 within tol."""
     u = normalized(u)
     v = normalized(v)

@@ -33,9 +33,10 @@ Event tokens name a projector and the time it applies at:
 The K embedded in a token must match the token's position on its history
 line. Named states are direction tokens (``z+``), products (``z+*x-``) or
 ``singlet``; explicit amplitude lists must be finite and normalized
-(tolerance 1e-6; they are renormalized exactly on load). Schedule axes take
-an ``A``/``B`` suffix on two-spin systems, and the segment Hamiltonian is
-omega times the spin component along the axis.
+(tolerance ``linalg.EPS_INPUT_NORM`` = 1e-6; they are renormalized exactly
+on load). Schedule axes take an ``A``/``B`` suffix on two-spin systems, and
+the segment Hamiltonian is omega times the spin component along the axis;
+omega times the segment's duration must stay finite.
 
 Parsing is strict and positional: syntax problems raise :class:`ParseError`
 and semantic ones :class:`ValidationError`, both carrying the line (and
@@ -46,13 +47,14 @@ where available column) plus the tokens that would have been accepted.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dynamics import Schedule, Segment, TimeGrid
 from .histories import Event, Family, History
-from .linalg import Projector, as_projector, identity, normalized, tensor
+from .linalg import EPS_INPUT_NORM, Projector, as_projector, identity, normalized, tensor
 from .spin import NAMED_DIRECTIONS, Direction, basis_for, spin_operator
 
 SUBSYSTEMS = ("A", "B")
@@ -138,27 +140,37 @@ class ScenarioDoc:
 # low-level token handling
 
 
+_PIECE = re.compile(r"\S+")
+# a piece in which every '(' closes before the next one opens leaves the
+# parenthesis depth as it found it
+_FLAT_GROUPS = re.compile(r"[^()]*(?:\([^()]*\)[^()]*)*")
+
+
 def _split_tokens(text: str) -> list[tuple[str, int]]:
-    """Whitespace-split outside parentheses; yields (token, 1-based column)."""
+    """Whitespace-split outside parentheses; yields (token, 1-based column).
+
+    The text is taken in whitespace-free pieces; whitespace after a piece
+    ends the token unless a parenthesis is still open. A ')' with no '(' open
+    is plain text; a '(' never closed keeps the rest of the text, whitespace
+    included, in its token."""
     tokens: list[tuple[str, int]] = []
-    cur: list[str] = []
-    start = 0
+    start = end = -1
     depth = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth = max(0, depth - 1)
-        if ch.isspace() and depth == 0:
-            if cur:
-                tokens.append(("".join(cur), start + 1))
-                cur = []
-        else:
-            if not cur:
-                start = i
-            cur.append(ch)
-    if cur:
-        tokens.append(("".join(cur), start + 1))
+    for m in _PIECE.finditer(text):
+        if depth == 0:
+            if start >= 0:
+                tokens.append((text[start:end], start + 1))
+            start = m.start()
+        end = m.end()
+        piece = m.group()
+        if ("(" in piece or ")" in piece) and not _FLAT_GROUPS.fullmatch(piece):
+            for ch in piece:
+                if ch == "(":
+                    depth += 1
+                elif ch == ")" and depth:
+                    depth -= 1
+    if start >= 0:
+        tokens.append((text[start:len(text) if depth else end], start + 1))
     return tokens
 
 
@@ -395,6 +407,8 @@ def _assemble(sections) -> ScenarioDoc:
     if not families:
         raise ParseError("scenario needs at least one [family <name>] section", 1,
                          expected=("[family <name>]",))
+    # per event time: each token seen there -> (its positioned spec, its label)
+    events: list[dict[str, tuple[EventSpec, str]]] = [{} for _ in range(n_events)]
     parsed_families = []
     seen_names = set()
     for fam_name, fam_ln, entries in families:
@@ -409,8 +423,7 @@ def _assemble(sections) -> ScenarioDoc:
             if key != "history":
                 raise ParseError(f"unknown key {key!r} in [family {fam_name}]", ln,
                                  expected=("history",))
-            row = _parse_history_line(value, spins, n_events, ln, col)
-            labels = tuple(render_event(ev) for ev in row)
+            row, labels = _parse_history_line(value, spins, n_events, ln, col, events)
             if labels in seen_rows:
                 raise ValidationError(f"duplicate history {' '.join(labels)!r}", ln)
             seen_rows.add(labels)
@@ -451,7 +464,7 @@ def _parse_state_section(section, spins: int, dim: int) -> StateSpec:
             amps.append(amp)
         vec = np.array(amps, dtype=complex)
         nrm = np.linalg.norm(vec)
-        if abs(nrm - 1.0) > 1e-6:
+        if abs(nrm - 1.0) > EPS_INPUT_NORM:
             raise ValidationError(
                 f"explicit state is not normalized (norm {nrm:.6g})", ln)
         return StateSpec(kind="amplitudes", amplitudes=tuple(amps))
@@ -516,6 +529,10 @@ def _parse_schedule_section(section, spins: int) -> tuple[SegmentSpec, ...]:
         if spins == 2 and not subsystem:
             raise ValidationError("two-spin schedules must tag the axis with A or B", ln)
         omega = _parse_float(oms, "omega", ln, c3)
+        if not math.isfinite(omega * (t_end - t_start)):
+            raise ValidationError(
+                f"omega {oms} over [{t_start}, {t_end}) turns the spin by an "
+                "angle too large to represent", ln, c3)
         segments.append(SegmentSpec(t_start, t_end, axis, subsystem, omega))
     for a, b in zip(sorted(segments, key=lambda s: s.t_start),
                     sorted(segments, key=lambda s: s.t_start)[1:]):
@@ -526,27 +543,41 @@ def _parse_schedule_section(section, spins: int) -> tuple[SegmentSpec, ...]:
     return tuple(segments)
 
 
-def _parse_history_line(value: str, spins: int, n_events: int, ln: int, base: int):
-    toks = [(tok, base + col - 1) for tok, col in _split_tokens(value)]
+def _parse_history_line(value: str, spins: int, n_events: int, ln: int, base: int,
+                        events: list[dict[str, tuple[EventSpec, str]]]):
+    """One history line as (event specs, labels). A token is parsed and
+    checked against its position only the first time it appears there;
+    ``events`` keeps the result for the rest of the document."""
+    toks = _split_tokens(value)
     if len(toks) != n_events:
         raise ValidationError(
             f"history has {len(toks)} events, grid has {n_events} event times", ln)
-    events = []
+    row = []
     for position, (tok, col) in enumerate(toks, start=1):
-        spec = parse_event_token(tok, spins, ln, col)
-        fixed = []
-        for f in spec:
-            if f.kind == "identity":
-                fixed.append(EventFactor(kind="identity", time_index=position))
-                continue
-            if f.time_index != position:
-                raise ValidationError(
-                    f"event {tok!r} carries time index {f.time_index} but sits at "
-                    f"position {position} (grid has {n_events} event times)",
-                    ln, col)
-            fixed.append(f)
-        events.append(tuple(fixed))
-    return tuple(events)
+        known = events[position - 1].get(tok)
+        if known is None:
+            spec = _positioned_event(tok, position, spins, n_events, ln, base + col - 1)
+            known = events[position - 1][tok] = (spec, render_event(spec))
+        row.append(known)
+    specs, labels = zip(*row)
+    return specs, labels
+
+
+def _positioned_event(tok: str, position: int, spins: int, n_events: int, ln: int,
+                      column: int) -> EventSpec:
+    """Parse an event token and pin it to its position on the history line."""
+    fixed = []
+    for f in parse_event_token(tok, spins, ln, column):
+        if f.kind == "identity":
+            fixed.append(EventFactor(kind="identity", time_index=position))
+            continue
+        if f.time_index != position:
+            raise ValidationError(
+                f"event {tok!r} carries time index {f.time_index} but sits at "
+                f"position {position} (grid has {n_events} event times)",
+                ln, column)
+        fixed.append(f)
+    return tuple(fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -649,32 +680,40 @@ def _event_projector(spec: EventSpec, spins: int, psi0: np.ndarray, grid: TimeGr
 
 def build_scenario(doc: ScenarioDoc) -> BuiltScenario:
     """Resolve a parsed document into state, schedule and Family objects; each
-    distinct (time, event token) is certified once and shared."""
+    distinct (time, event token) is certified once and its Event shared."""
     dim = 2 ** doc.spins
     psi0 = _state_vector(doc.state, doc.spins)
     grid = TimeGrid(doc.times)
-    segments = []
-    for seg in doc.segments:
-        h = _embed(spin_operator(seg.axis), seg.subsystem, doc.spins) * seg.omega
-        segments.append(Segment(seg.t_start, seg.t_end, h))
     try:
-        schedule = Schedule(dim=dim, segments=tuple(segments))
+        segments = tuple(
+            Segment(seg.t_start, seg.t_end,
+                    _embed(spin_operator(seg.axis), seg.subsystem, doc.spins) * seg.omega)
+            for seg in doc.segments
+        )
+        schedule = Schedule(dim=dim, segments=segments)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 
-    certified: dict[tuple[int, str], Projector] = {}
+    certified: dict[tuple[int, str], Event] = {}
+    # (time, id of a spec object) -> its Event, so a spec that the parser
+    # shares between histories is rendered once; ``doc`` keeps every spec
+    # alive while this runs, so no id is reused
+    by_spec: dict[tuple[int, int], Event] = {}
     families = []
     for fam in doc.families:
         histories = []
         for row in fam.histories:
             events = []
             for position, spec in enumerate(row, start=1):
-                label = render_event(spec)
-                proj = certified.get((position, label))
-                if proj is None:
-                    proj = _event_projector(spec, doc.spins, psi0, grid, schedule)
-                    certified[position, label] = proj
-                events.append(Event(position, proj, label))
+                ev = by_spec.get((position, id(spec)))
+                if ev is None:
+                    label = render_event(spec)
+                    ev = certified.get((position, label))
+                    if ev is None:
+                        proj = _event_projector(spec, doc.spins, psi0, grid, schedule)
+                        ev = certified[position, label] = Event(position, proj, label)
+                    by_spec[position, id(spec)] = ev
+                events.append(ev)
             histories.append(History(tuple(events)))
         try:
             families.append((fam.name, Family(psi0, grid, schedule, tuple(histories))))

@@ -79,9 +79,13 @@ def basis_for(w: Direction) -> SpinBasis:
 
 
 def spin_operator(w: Direction) -> np.ndarray:
-    """Spin component along w: eigenvectors |w+/->, eigenvalues +/- 1/2."""
+    """Spin component along w: eigenvectors |w+/->, eigenvalues +/- 1/2.
+
+    The result is exactly self-adjoint (averaged with its adjoint), so a
+    Hamiltonian omega * S_w stays self-adjoint however large omega is."""
     b = basis_for(w)
-    return 0.5 * (np.outer(b.plus, b.plus.conj()) - np.outer(b.minus, b.minus.conj()))
+    s = 0.5 * (np.outer(b.plus, b.plus.conj()) - np.outer(b.minus, b.minus.conj()))
+    return 0.5 * (s + s.conj().T)
 
 
 def spin_projector(w: Direction, sign: int, label: str = "") -> Projector:

@@ -89,6 +89,41 @@ def test_non_finite_amplitude_exits_2(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+STRONG_FIELD = (
+    "[scenario]\nname = strong\n[system]\nspins = 1\n[state]\nnamed = z+\n"
+    "[grid]\ntimes = 0.0 1.0 {t2}\n[schedule]\nsegment = 0.0 {t2} w(1.1,0.3) {omega}\n"
+    "[family f]\nhistory = x1+ z2+\nhistory = x1+ z2-\nhistory = x1- z2+\n"
+    "history = x1- z2-\n"
+)
+
+
+@pytest.mark.parametrize("omega", ["1e8", "1e300", "-1e300"])
+def test_strong_field_gives_a_report(tmp_path, omega):
+    path = tmp_path / "strong.scenario"
+    path.write_text(STRONG_FIELD.format(t2="2.0", omega=omega))
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "qhist", "check", str(path)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode in (0, 3), result.stderr
+    assert result.stdout.startswith("scenario: strong\nfamily f: ")
+    assert result.stderr == ""
+
+
+def test_field_turning_too_far_exits_2(tmp_path):
+    # omega * duration overflows, so the propagator would be NaN
+    path = tmp_path / "overflow.scenario"
+    path.write_text(STRONG_FIELD.format(t2="2e10", omega="1e300"))
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "qhist", "check", str(path)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "line 10, column 31" in result.stderr and "too large" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_golden_machine_reports():
     for name in BUILTIN_SOURCES:
         path = GOLDEN / f"{name}.machine.json"

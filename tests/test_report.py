@@ -1,0 +1,111 @@
+"""The report writers against their definitions: the machine form is
+``json.dumps(report_to_dict(r), indent=2)`` plus a newline, the text form is
+the line-by-line loop kept here as the reference, and run_scenario's batch
+rounding is round12 applied to each value."""
+
+import itertools
+import json
+import math
+import random
+
+import numpy as np
+import pytest
+
+from qhist.report import (
+    FamilyResult,
+    Report,
+    _round12_all,
+    render_report_machine,
+    render_report_text,
+    report_from_dict,
+    report_to_dict,
+    round12,
+    run_scenario,
+)
+from qhist.scenario import parse_scenario
+
+NAN, INF = float("nan"), float("inf")
+EDGE_FLOATS = (NAN, INF, -INF, -0.0, 0.0, 1e-05, 1e16, 100000000000.0, 1.0, -2.5e-300)
+
+
+def reference_text(report: Report) -> str:
+    lines = [f"scenario: {report.scenario}"]
+    for f in report.families:
+        verdict = "consistent" if f.consistent else "inconsistent"
+        lines.append(f"family {f.name}: {verdict} (exhaustive: {'yes' if f.exhaustive else 'no'})")
+        if f.consistent:
+            lines.append(f"  probabilities: {', '.join(f'{p:.12g}' for p in f.probabilities)}")
+            lines.append(f"  probability sum: {sum(f.probabilities):.12g}")
+        else:
+            lines.append(f"  violating pairs ({len(f.violating_pairs)}):")
+            for i, j, re, im in f.violating_pairs:
+                lines.append(f"    ({i}, {j}): overlap re={re:.12g} im={im:.12g}")
+    return "\n".join(lines) + "\n"
+
+
+def assert_writers_match(report: Report) -> None:
+    assert render_report_machine(report) == json.dumps(report_to_dict(report), indent=2) + "\n"
+    assert render_report_text(report) == reference_text(report)
+
+
+def ladder_text(rng: random.Random, n: int) -> str:
+    """One spin in a y field, a random analyzer at each of n times, all 2**n
+    sign sequences as histories."""
+    def w():
+        return f"w({math.acos(rng.uniform(-1, 1))!r},{rng.uniform(0, 2 * math.pi)!r})"
+
+    state, omega = w(), rng.uniform(0.5, 3.0)
+    dirs = [w() for _ in range(n)]
+    rows = [
+        "history = " + " ".join(f"{d}{k}{s}" for k, (d, s) in enumerate(zip(dirs, signs), 1))
+        for signs in itertools.product("+-", repeat=n)
+    ]
+    return "\n".join([
+        "[scenario]", "name = ladder", "[system]", "spins = 1", "[state]",
+        f"named = {state}+", "[grid]", "times = " + " ".join(f"{k}.0" for k in range(n + 1)),
+        "[schedule]", f"segment = 0.0 {n}.0 y {omega!r}", "[family ladder]", *rows,
+    ]) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_writers_match_on_seeded_ladders(seed):
+    rng = random.Random(seed)
+    doc = parse_scenario(ladder_text(rng, 2 + seed % 5))
+    for tol in (1e-10, 1e-3, 0.3):
+        report = run_scenario(doc, tol)
+        assert_writers_match(report)
+        assert report_from_dict(json.loads(render_report_machine(report))) == report
+
+
+def test_writers_match_on_edge_cases():
+    names = ('plain', 'quote " inside', "back\\slash", "tab\tand\nnewline", "snow ☃ é", "")
+    pairs = tuple(
+        (i, i + 1, re, im)
+        for i, (re, im) in enumerate(zip(EDGE_FLOATS, reversed(EDGE_FLOATS)), start=1)
+    )
+    families = (
+        FamilyResult(names[0], False, True, pairs, ()),
+        FamilyResult(names[1], True, True, (), EDGE_FLOATS),
+        FamilyResult(names[2], True, False, (), ()),
+        FamilyResult(names[3], False, False, ((1, 2, 0.5, -0.25),), (1.0,)),
+        FamilyResult(names[4], True, True, (), (1.0,)),
+        FamilyResult(names[5], False, True, (), ()),
+        FamilyResult("lists", False, True, [[1, 2, 0.5, 0.25]], [0.5, 0.5]),
+    )
+    for scenario in names:
+        assert_writers_match(Report(scenario, families))
+        assert_writers_match(Report(scenario, ()))
+    machine = render_report_machine(Report("x", families[:2]))
+    assert "NaN" in machine and "-Infinity" in machine and "nan" not in machine
+
+
+def test_batch_rounding_equals_round12():
+    specials = [1e-12, -1e-12, 9.99e-13, -9.99e-13, 0.0, -0.0, NAN, INF, -INF,
+                5e-324, -5e-324, 0.1 + 0.2, 1.00000000000049999, 123456789012345.0,
+                1e308, -1.7976931348623157e308, 0.99999999999995]
+    rng = np.random.default_rng(7)
+    randoms = (rng.uniform(-1, 1, 2000) * 10.0 ** rng.integers(-15, 20, 2000)).tolist()
+    values = specials + randoms
+    got = _round12_all(np.array(values))
+    assert [repr(x) for x in got] == [repr(round12(x)) for x in values]
+    assert _round12_all(np.array([])) == []

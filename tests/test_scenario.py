@@ -15,7 +15,10 @@ from qhist.report import (
 from qhist.scenario import (
     BUILTIN_SOURCES,
     ParseError,
+    ScenarioDoc,
+    SegmentSpec,
     ValidationError,
+    _split_tokens,
     build_scenario,
     builtin_scenario,
     parse_scenario,
@@ -71,6 +74,94 @@ def test_event_token_with_spaces_inside_direction():
     built = build_scenario(doc)
     label = built.families[0][1].histories[0].labels[0]
     assert label == "w(0.7853,0.0)1+"
+
+
+def reference_split(text: str) -> list[tuple[str, int]]:
+    """The character-by-character splitter that _split_tokens replaced."""
+    tokens, cur, start, depth = [], [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth = max(0, depth - 1)
+        if ch.isspace() and depth == 0:
+            if cur:
+                tokens.append(("".join(cur), start + 1))
+                cur = []
+        else:
+            if not cur:
+                start = i
+            cur.append(ch)
+    if cur:
+        tokens.append(("".join(cur), start + 1))
+    return tokens
+
+
+@pytest.mark.parametrize("text", [
+    "", "   ", "x1+ z2-", "  x1+\tz2-  ", "w( 1.1 , 0.3 )1+ z2+",
+    "w(\t1.1 ,\t0.3\t)1+\t\tw(2,3)2-  ", "((a b) c) d", "a ((b) c ) (d)e f",
+    "a) b", ") ) x1+", "w(1.1, 0.3 x1+ z2+", "a (b (c ) d", "a( b ))( c ) d",
+    "x1+ w(1,2)2+   ", "w(1,2 )2+ \t", "a ( b\u00a0c ) d\u2003e", "()() (( )) )(",
+])
+def test_split_tokens_matches_the_character_loop(text):
+    assert _split_tokens(text) == reference_split(text)
+
+
+def test_split_tokens_whitespace_is_str_isspace():
+    spaces = "".join(ch for ch in map(chr, range(0x3000 + 1)) if ch.isspace())
+    text = "a" + "a".join(spaces) + "(b" + spaces + "c)"
+    assert _split_tokens(text) == reference_split(text)
+
+
+def test_repeated_bad_token_raises_at_its_first_line_and_column():
+    text = MINIMAL.replace("history = z1+\nhistory = z1-",
+                           "history = z1+\nhistory =  q1+\nhistory = q1+")
+    with pytest.raises(ParseError, match="unknown direction") as err:
+        parse_scenario(text)
+    assert (err.value.line, err.value.column) == (11, 12)
+
+
+def test_known_token_at_the_wrong_position_raises_where_it_sits():
+    text = """\
+[scenario]
+name = moved
+[system]
+spins = 1
+[state]
+named = z+
+[grid]
+times = 0.0 1.0 2.0
+[family f]
+history = x1+ z2+
+history = x1- z2-
+[family g]
+history = z2+   x1+
+"""
+    with pytest.raises(ValidationError, match="time index 2 but sits at position 1") as err:
+        parse_scenario(text)
+    assert (err.value.line, err.value.column) == (13, 11)
+
+
+def test_repeated_tokens_share_one_spec_and_one_event():
+    doc = builtin_scenario("eq23")
+    rows = doc.families[0].histories
+    assert rows[0][0] is rows[1][0] and rows[0][1] is rows[2][1]
+    family = build_scenario(doc).family("eq23")
+    h = family.histories
+    assert h[0].events[0] is h[1].events[0] and h[0].events[1] is h[2].events[1]
+    assert [x.labels for x in h] == [
+        ("x1+", "z2+"), ("x1+", "z2-"), ("x1-", "z2+"), ("x1-", "z2-"),
+    ]
+
+
+def test_build_maps_segment_errors_to_validation_errors():
+    doc = parse_scenario(MINIMAL)
+    bad = ScenarioDoc(doc.name, doc.spins, doc.state, doc.times,
+                      (SegmentSpec(1.0, 1.0, doc.families[0].histories[0][0][0].direction,
+                                   "", 1.0),),
+                      doc.families)
+    with pytest.raises(ValidationError, match="empty"):
+        build_scenario(bad)
 
 
 def test_bad_time_index_names_the_index():

@@ -92,6 +92,17 @@ def test_spin_operator_eigenrelation(w):
 
 @settings(max_examples=60, deadline=None)
 @given(directions)
+def test_spin_operator_is_exactly_self_adjoint(w):
+    # exact, not within EPS_OP: a field omega * S_w must stay self-adjoint
+    # for any finite omega (w(1.1, 0.3) used to miss by 2.9e-18)
+    for d in (w, Direction(1.1, 0.3)):
+        s = spin_operator(d)
+        assert np.array_equal(s, s.conj().T)
+        assert np.array_equal(1e300 * s, (1e300 * s).conj().T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(directions)
 def test_spin_operator_is_projector_difference(w):
     s = spin_operator(w)
     diff = 0.5 * (spin_projector(w, +1).matrix - spin_projector(w, -1).matrix)
