@@ -3,14 +3,16 @@
 
 Sweeps a, a', b, b' over a grid in the x-z plane, prints the best settings
 found, and compares against the deterministic local bound (2, by exhaustive
-enumeration) and the quantum ceiling 2*sqrt(2).
+enumeration) and the quantum ceiling 2*sqrt(2). Of the settings whose |S| is
+within EPS_BELL of the largest, the first in grid order is printed, so
+rounding noise in S does not choose among equal optima.
 """
 
 import argparse
 import math
 from itertools import product
 
-from qhist.bell import chsh, lhv_classical_bound
+from qhist.bell import EPS_BELL, chsh, lhv_classical_bound
 from qhist.spin import Direction
 
 
@@ -22,13 +24,11 @@ def main() -> None:
 
     step = 360.0 / args.steps
     angles = [k * step for k in range(args.steps)]
-    best, best_settings = 0.0, None
-    for a, ap, b, bp in product(angles, repeat=4):
-        s = abs(chsh(*(Direction(math.radians(x), 0.0) for x in (a, ap, b, bp))))
-        if s > best:
-            best, best_settings = s, (a, ap, b, bp)
-
-    a, ap, b, bp = best_settings
+    direction = {x: Direction(math.radians(x), 0.0) for x in angles}
+    grid = list(product(angles, repeat=4))
+    values = [abs(chsh(*map(direction.get, s))) for s in grid]
+    best = max(values)
+    a, ap, b, bp = next(s for s, v in zip(grid, values) if v >= best - EPS_BELL)
     print(f"grid: {args.steps} points per angle ({step:g} degree steps)")
     print(f"best |S| = {best:.12g} at a={a:g} a'={ap:g} b={b:g} b'={bp:g} (degrees)")
     print(f"deterministic local bound = {lhv_classical_bound():g}")

@@ -78,6 +78,7 @@ from .bell import (
     JointDistribution,
     LambdaModel,
     LambdaTerm,
+    LocalModelCheck,
     Settings,
     check_factorization,
     chsh,
@@ -86,6 +87,7 @@ from .bell import (
     deterministic_model,
     deterministic_strategies,
     lhv_classical_bound,
+    local_model_exists,
     singlet_joint,
     singlet_table,
 )

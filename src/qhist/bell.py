@@ -6,22 +6,25 @@ directions a and b gives joint outcome probabilities
     P(+,+) = P(-,-) = sin^2(theta_ab / 2) / 2,
     P(+,-) = P(-,+) = cos^2(theta_ab / 2) / 2,
 
-hence the correlation E(a, b) = -cos(theta_ab). The classical side is a
-finite mixture of lambda-terms whose joint distribution factorizes per term,
+hence the correlation E(a, b) = -cos(theta_ab) = -a.b, taken here from the
+unit vectors each Direction caches. The classical side is a finite mixture of
+lambda-terms whose joint distribution factorizes per term,
 P(A,B|a,b,lambda) = P(A|a,lambda) P(B|b,lambda). Deterministic terms are
 enumerable, which pins the CHSH combination |E(a,b) - E(a,b') + E(a',b) +
 E(a',b')| at 2 for every such model, while the singlet reaches 2*sqrt(2).
+For two settings per side, `local_model_exists` decides exactly whether any
+such model reproduces a table (Fine's theorem).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping, NamedTuple
 
 from .linalg import EPS_BELL, EPS_NORM
-from .spin import Direction, angle_between
+# angle_between is unused here but stays bound: perfbench/tracing.py wraps bell.angle_between
+from .spin import Direction, angle_between  # noqa: F401
 
 SIGNS = (+1, -1)
 
@@ -105,11 +108,20 @@ class LambdaModel:
         return self.joint(s).correlation
 
 
+def _correlation(a: Direction, b: Direction) -> float:
+    """E(a, b) = -a.b from the cached unit vectors."""
+    ax, ay, az = a._xyz
+    bx, by, bz = b._xyz
+    return -(ax * bx + ay * by + az * bz)
+
+
 def singlet_joint(s: Settings) -> JointDistribution:
-    """Closed-form singlet outcome table for one settings pair."""
-    half = angle_between(s.a, s.b) / 2.0
-    same = 0.5 * math.sin(half) ** 2
-    diff = 0.5 * math.cos(half) ** 2
+    """Closed-form singlet outcome table for one settings pair:
+    sin^2(theta/2)/2 = (1 + E)/4 for equal signs, cos^2(theta/2)/2 = (1 - E)/4
+    for opposite ones."""
+    e = _correlation(s.a, s.b)
+    same = (1.0 + e) / 4.0
+    diff = (1.0 - e) / 4.0
     return JointDistribution(pp=same, pm=diff, mp=diff, mm=same)
 
 
@@ -119,8 +131,8 @@ def singlet_table(settings: list[Settings]) -> tuple[tuple[Settings, JointDistri
 
 
 def correlation(s: Settings) -> float:
-    """Singlet correlation E(a, b) = -cos(theta_ab)."""
-    return singlet_joint(s).correlation
+    """Singlet correlation E(a, b) = -cos(theta_ab) = -a.b."""
+    return _correlation(s.a, s.b)
 
 
 def chsh_value(e_ab: float, e_abp: float, e_apb: float, e_apbp: float) -> float:
@@ -128,13 +140,19 @@ def chsh_value(e_ab: float, e_abp: float, e_apb: float, e_apbp: float) -> float:
 
 
 def chsh(a: Direction, a_prime: Direction, b: Direction, b_prime: Direction) -> float:
-    """Singlet CHSH combination E(a,b) - E(a,b') + E(a',b) + E(a',b')."""
-    return chsh_value(
-        correlation(Settings(a, b)),
-        correlation(Settings(a, b_prime)),
-        correlation(Settings(a_prime, b)),
-        correlation(Settings(a_prime, b_prime)),
-    )
+    """Singlet CHSH combination E(a,b) - E(a,b') + E(a',b) + E(a',b').
+
+    The same arithmetic as `chsh_value` of four `correlation` calls, written
+    out so that a scan builds no objects per value."""
+    ax, ay, az = a._xyz
+    apx, apy, apz = a_prime._xyz
+    bx, by, bz = b._xyz
+    bpx, bpy, bpz = b_prime._xyz
+    e_ab = -(ax * bx + ay * by + az * bz)
+    e_abp = -(ax * bpx + ay * bpy + az * bpz)
+    e_apb = -(apx * bx + apy * by + apz * bz)
+    e_apbp = -(apx * bpx + apy * bpy + apz * bpz)
+    return e_ab - e_abp + e_apb + e_apbp
 
 
 def deterministic_strategies() -> list[tuple[int, int, int, int]]:
@@ -184,6 +202,78 @@ def check_factorization(
     worst = 0.0
     for settings, expected in table:
         got = model.joint(settings)
-        for sa, sb in product(SIGNS, SIGNS):
-            worst = max(worst, abs(got.prob(sa, sb) - expected.prob(sa, sb)))
+        worst = max(
+            worst,
+            abs(got.pp - expected.pp),
+            abs(got.pm - expected.pm),
+            abs(got.mp - expected.mp),
+            abs(got.mm - expected.mm),
+        )
     return FactorizationCheck(worst <= EPS_BELL, worst)
+
+
+class LocalModelCheck(NamedTuple):
+    exists: bool
+    inequality: str
+    margin: float
+
+
+_PAIRS = ("E(a,b)", "E(a,b')", "E(a',b)", "E(a',b')")
+# the eight CHSH inequalities sum(sign * E) <= 2: one correlation negated,
+# then the whole sum taken with either sign
+_CHSH_SIGNS = tuple(
+    tuple(sign * (-1 if k == minus else 1) for k in range(4))
+    for minus in range(4)
+    for sign in (+1, -1)
+)
+
+
+def _chsh_inequality(signs: tuple[int, ...]) -> str:
+    text = "".join(f" {'-' if s < 0 else '+'} {e}" for s, e in zip(signs, _PAIRS))
+    return ("-" if signs[0] < 0 else "") + text[3:] + " <= 2"
+
+
+def local_model_exists(
+    table: Iterable[tuple[Settings, JointDistribution]]
+) -> LocalModelCheck:
+    """Does any factorizing (local) model reproduce a two-settings-per-side table?
+
+    `table` holds four (settings, joint) entries in the order (a,b), (a,b'),
+    (a',b), (a',b'), as `singlet_table` returns them for that settings list;
+    a may equal a' and b may equal b'. By Fine's theorem (Phys. Rev. Lett.
+    48, 291 (1982)) a local model exists if and only if the marginals are
+    no-signalling and all eight CHSH inequalities hold: each sum of the four
+    correlations with one of them negated lies in [-2, 2].
+
+    Returns the verdict, the tightest constraint (the violated one when there
+    is no model) and its margin: how far that constraint is exceeded, as the
+    largest marginal difference for no-signalling and as the CHSH sum minus 2
+    otherwise. A constraint holds when its margin is at most EPS_BELL, so a
+    model exists on the boundary |S| = 2.
+    """
+    entries = tuple(table)
+    if len(entries) != 4:
+        raise ValueError("a local-model table needs exactly four settings pairs")
+    (s_ab, j_ab), (s_abp, j_abp), (s_apb, j_apb), (s_apbp, j_apbp) = entries
+    if not (s_ab.a == s_abp.a and s_apb.a == s_apbp.a
+            and s_ab.b == s_apb.b and s_abp.b == s_apbp.b):
+        raise ValueError(
+            "table settings must be (a,b), (a,b'), (a',b), (a',b') in this order"
+        )
+
+    # each side's + probability at one setting must not depend on the far setting
+    marginals = (
+        ("P(A=+|a,b) = P(A=+|a,b')", j_ab.pp + j_ab.pm, j_abp.pp + j_abp.pm),
+        ("P(A=+|a',b) = P(A=+|a',b')", j_apb.pp + j_apb.pm, j_apbp.pp + j_apbp.pm),
+        ("P(B=+|a,b) = P(B=+|a',b)", j_ab.pp + j_ab.mp, j_apb.pp + j_apb.mp),
+        ("P(B=+|a,b') = P(B=+|a',b')", j_abp.pp + j_abp.mp, j_apbp.pp + j_apbp.mp),
+    )
+    signalling, worst_label = max((abs(p - q), label) for label, p, q in marginals)
+    if not signalling <= EPS_BELL:
+        return LocalModelCheck(False, worst_label, signalling)
+
+    e = tuple(j.correlation for j in (j_ab, j_abp, j_apb, j_apbp))
+    excess, signs = max(
+        (sum(s * x for s, x in zip(signs, e)) - 2.0, signs) for signs in _CHSH_SIGNS
+    )
+    return LocalModelCheck(excess <= EPS_BELL, _chsh_inequality(signs), excess)

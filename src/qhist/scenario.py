@@ -26,7 +26,9 @@ Event tokens name a projector and the time it applies at:
 * ``psiK`` - projector onto the initial state evolved to time tK,
 * ``<dir><K><sign>`` - projector onto the spin-(sign 1/2) eigenstate along a
   direction, e.g. ``x1+`` or ``w(0.78,0.0)2-``; directions are ``x  y  z -x
-  -y -z`` or ``w(theta,phi)`` in radians,
+  -y -z`` or ``w(theta,phi)`` in radians (finite angles outside theta in
+  [0, pi], phi in [0, 2 pi) name the same direction and are brought into
+  range, so ``w(7.0,0.0)`` is rendered ``w(0.7168146928204138,0.0)``),
 * two-spin systems tag the subsystem, ``zA1+``; ``*`` joins factors acting
   on different subsystems into one event, ``zA1+*xB1-``.
 

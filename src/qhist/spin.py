@@ -16,7 +16,7 @@ do not see it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,21 +25,40 @@ from .linalg import EPS_NORM, Projector, as_state, inner, projector_onto, tensor
 
 @dataclass(frozen=True)
 class Direction:
-    """Spatial direction: polar angle theta in [0, pi], azimuth phi in [0, 2*pi)."""
+    """Spatial direction: polar angle theta in [0, pi], azimuth phi in [0, 2*pi).
+
+    Other finite angles name the same direction and are brought into range:
+    theta is reduced mod 2*pi, a theta above pi becomes 2*pi - theta with phi
+    turned by pi, and phi is reduced into [0, 2*pi). Angles already in range
+    keep their exact values. The unit vector's components are computed once.
+    """
 
     theta: float
     phi: float = 0.0
+    _xyz: tuple[float, float, float] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
+        theta, phi = self.theta, self.phi
+        if not (math.isfinite(theta) and math.isfinite(phi)):
             raise ValueError("direction angles must be finite")
+        if not 0.0 <= theta <= math.pi:
+            theta %= math.tau
+            if theta > math.pi:
+                theta, phi = math.tau - theta, phi + math.pi
+        if not 0.0 <= phi < math.tau:
+            phi %= math.tau
+            if phi == math.tau:  # a tiny negative phi rounds up to 2*pi
+                phi = 0.0
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "phi", phi)
+        st = math.sin(theta)
+        object.__setattr__(
+            self, "_xyz", (st * math.cos(phi), st * math.sin(phi), math.cos(theta))
+        )
 
     @property
     def unit_vector(self) -> np.ndarray:
-        st = math.sin(self.theta)
-        return np.array(
-            [st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)]
-        )
+        return np.array(self._xyz)
 
 
 X = Direction(math.pi / 2, 0.0)

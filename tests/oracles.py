@@ -74,6 +74,12 @@ def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def unit(theta: float, phi: float) -> np.ndarray:
+    """Cartesian unit vector of the direction (theta, phi), for any angles."""
+    st = math.sin(theta)
+    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
+
+
 def random_direction(rng: np.random.Generator) -> tuple[float, float]:
     """Uniform direction on the sphere as (theta, phi)."""
     return math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2.0 * math.pi)

@@ -20,6 +20,7 @@ from qhist.bell import (
     deterministic_model,
     deterministic_strategies,
     lhv_classical_bound,
+    local_model_exists,
     singlet_joint,
     singlet_table,
 )
@@ -288,3 +289,98 @@ def test_joint_rows_sum_to_one(rng):
         joint = singlet_joint(s)
         total = joint.pp + joint.pm + joint.mp + joint.mm
         assert total == pytest.approx(1.0, abs=1e-12)
+
+
+# random directions from raw angles, in range or not
+raw_angles = st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_angles, raw_angles)
+def test_correlation_is_minus_dot_and_bounded(a, b):
+    e = correlation(Settings(Direction(*a), Direction(*b)))
+    assert abs(e) <= 1.0 + 1e-15
+    assert e == pytest.approx(-oracles.unit(*a) @ oracles.unit(*b), abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_angles, raw_angles, raw_angles, raw_angles)
+def test_chsh_is_chsh_value_of_correlations_and_obeys_tsirelson(a, ap, b, bp):
+    a, ap, b, bp = (Direction(*x) for x in (a, ap, b, bp))
+    s = chsh(a, ap, b, bp)
+    assert s == chsh_value(
+        correlation(Settings(a, b)),
+        correlation(Settings(a, bp)),
+        correlation(Settings(ap, b)),
+        correlation(Settings(ap, bp)),
+    )
+    assert abs(s) <= 2 * math.sqrt(2) + EPS_BELL
+
+
+def _table(a, ap, b, bp, joint):
+    return tuple(
+        (s, joint(s))
+        for s in (Settings(a, b), Settings(a, bp), Settings(ap, b), Settings(ap, bp))
+    )
+
+
+def test_no_local_model_for_the_singlet_at_optimal_settings():
+    a, ap, b, bp = (coplanar(x) for x in (0, 90, 45, 135))
+    verdict = local_model_exists(_table(a, ap, b, bp, singlet_joint))
+    assert not verdict.exists
+    assert verdict.margin == pytest.approx(2 * math.sqrt(2) - 2, abs=1e-12)
+    # S = -2*sqrt(2) here, so the negated CHSH sum is the one violated
+    assert verdict.inequality == "-E(a,b) + E(a,b') - E(a',b) - E(a',b') <= 2"
+
+
+def test_local_model_on_the_chsh_boundary():
+    d = coplanar(30)
+    verdict = local_model_exists(_table(d, d, d, d, singlet_joint))
+    assert verdict.exists
+    assert abs(verdict.margin) <= EPS_BELL
+
+
+def test_local_model_for_the_bertlmann_socks_settings():
+    verdict = local_model_exists(_table(Z, X, Z, X, singlet_joint))
+    assert verdict.exists
+    assert abs(verdict.margin) <= EPS_BELL
+
+
+def test_local_model_for_every_deterministic_model_and_mixtures(rng):
+    a, ap, b, bp = (Direction(*oracles.random_direction(rng)) for _ in range(4))
+    terms = [
+        deterministic_model([a, ap], [b, bp], {a: ra, ap: rap}, {b: rb, bp: rbp})
+        for ra, rap, rb, rbp in deterministic_strategies()
+    ]
+    for term in terms:
+        verdict = local_model_exists(_table(a, ap, b, bp, LambdaModel((term,)).joint))
+        assert verdict.exists
+        assert verdict.margin == 0.0  # one deterministic model sits on a facet
+    for _ in range(50):
+        weights = rng.dirichlet(np.ones(16))
+        model = LambdaModel(tuple(
+            LambdaTerm(float(w), t.response_a, t.response_b) for w, t in zip(weights, terms)
+        ))
+        assert local_model_exists(_table(a, ap, b, bp, model.joint)).exists
+
+
+def test_signalling_table_has_no_local_model():
+    a, ap, b, bp = (coplanar(x) for x in (0, 90, 45, 135))
+    uniform = JointDistribution(0.25, 0.25, 0.25, 0.25)
+    joints = {
+        Settings(a, b): JointDistribution(1.0, 0.0, 0.0, 0.0),  # A = + with b
+        Settings(a, bp): JointDistribution(0.0, 0.0, 0.0, 1.0),  # A = - with b'
+    }
+    verdict = local_model_exists(_table(a, ap, b, bp, lambda s: joints.get(s, uniform)))
+    assert not verdict.exists
+    assert verdict.inequality == "P(A=+|a,b) = P(A=+|a,b')"
+    assert verdict.margin == pytest.approx(1.0)
+
+
+def test_local_model_table_shape_is_checked():
+    a, ap, b, bp = (coplanar(x) for x in (0, 90, 45, 135))
+    table = _table(a, ap, b, bp, singlet_joint)
+    with pytest.raises(ValueError, match="four"):
+        local_model_exists(table[:3])
+    with pytest.raises(ValueError, match="order"):
+        local_model_exists(table[::-1][:2] + table[2:])

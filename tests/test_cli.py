@@ -249,6 +249,22 @@ def test_chsh_custom_angles():
     assert payload["abs_chsh"] == pytest.approx(2.0)
 
 
+def test_chsh_angle_past_180_degrees_keeps_its_output():
+    # a' = 270 degrees is canonicalized to theta = 90, phi = 180 degrees; the
+    # report is the one printed from the raw angle
+    result = qhist("chsh", "0", "270", "45", "315")
+    assert result.returncode == 0
+    assert result.stdout == (
+        "settings (degrees): a=0 a'=270 b=45 b'=315\n"
+        "  E(a,b) = -0.707106781187\n"
+        "  E(a,b') = -0.707106781187\n"
+        "  E(a',b) = 0.707106781187\n"
+        "  E(a',b') = -0.707106781187\n"
+        "CHSH S = 0  |S| = 0\n"
+        "deterministic local bound = 2, quantum maximum = 2.82842712475\n"
+    )
+
+
 def test_chsh_wrong_angle_count_exits_2():
     result = qhist("chsh", "10", "20")
     assert result.returncode == 2
@@ -283,7 +299,8 @@ def test_console_entry_point_matches_module():
     "script, args, line",
     [
         ("framework_demo.py", (), "in the x-framework: Prob(x+) = 0.5\n"),
-        ("chsh_scan.py", ("--steps", "8"), "best |S| = 2.82842712475 "),
+        ("chsh_scan.py", ("--steps", "8"),
+         "best |S| = 2.82842712475 at a=0 a'=90 b=45 b'=135 (degrees)\n"),
     ],
 )
 def test_scripts_run(script, args, line):

@@ -76,6 +76,15 @@ def test_event_token_with_spaces_inside_direction():
     assert label == "w(0.7853,0.0)1+"
 
 
+def test_direction_token_out_of_range_is_canonicalized():
+    # theta = 7 names the direction theta = 7 - 2*pi, phi = 0
+    doc = parse_scenario(MINIMAL.replace("history = z1+", "history = w(7.0,0.0)1+"))
+    direction = doc.families[0].histories[0][0][0].direction
+    assert direction.theta == pytest.approx(7.0 - 2 * math.pi, abs=1e-15)
+    assert direction.phi == 0.0
+    assert parse_scenario(render_scenario(doc)) == doc
+
+
 def reference_split(text: str) -> list[tuple[str, int]]:
     """The character-by-character splitter that _split_tokens replaced."""
     tokens, cur, start, depth = [], [], 0, 0

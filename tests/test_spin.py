@@ -186,3 +186,41 @@ def test_angle_between():
 def test_direction_rejects_non_finite():
     with pytest.raises(ValueError):
         Direction(math.inf, 0.0)
+
+
+# finite angles well outside the documented ranges
+raw_angles = st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0))
+
+
+@pytest.mark.parametrize(
+    "theta, phi",
+    [(7.0, 0.0), (math.radians(270), 0.0), (-0.5, 1.0), (1.0, -7.0), (2 * math.pi, 0.0)],
+)
+def test_out_of_range_angles_are_canonicalized(theta, phi):
+    d = Direction(theta, phi)
+    assert 0.0 <= d.theta <= math.pi
+    assert 0.0 <= d.phi < 2 * math.pi
+    assert max_abs(d.unit_vector - oracles.unit(theta, phi)) <= 1e-15
+    for sign in (+1, -1):
+        raw = oracles.proj(oracles.ket(theta, phi, sign))
+        assert max_abs(spin_projector(d, sign).matrix - raw) <= EPS_OP
+
+
+def test_in_range_angles_keep_their_bits():
+    for theta, phi in ((0.0, 0.0), (-0.0, -0.0), (math.pi, 0.0), (1.1, 0.3),
+                       (0.5, math.nextafter(2 * math.pi, 0.0))):
+        d = Direction(theta, phi)
+        assert (d.theta.hex(), d.phi.hex()) == (theta.hex(), phi.hex())
+    assert repr(Direction(1.1, 0.3)) == "Direction(theta=1.1, phi=0.3)"
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_angles)
+def test_canonical_direction_is_the_same_direction(angles):
+    d = Direction(*angles)
+    assert 0.0 <= d.theta <= math.pi
+    assert 0.0 <= d.phi < 2 * math.pi
+    assert max_abs(d.unit_vector - oracles.unit(*angles)) <= 1e-14
+    again = Direction(d.theta, d.phi)
+    assert again == d and hash(again) == hash(d)
+    assert (again.theta.hex(), again.phi.hex()) == (d.theta.hex(), d.phi.hex())
