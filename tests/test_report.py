@@ -3,9 +3,7 @@
 the line-by-line loop kept here as the reference, and run_scenario's batch
 rounding is round12 applied to each value."""
 
-import itertools
 import json
-import math
 import random
 
 import numpy as np
@@ -23,6 +21,9 @@ from qhist.report import (
     run_scenario,
 )
 from qhist.scenario import parse_scenario
+
+import ladder_golden
+from ladder_golden import ladder_text
 
 NAN, INF = float("nan"), float("inf")
 EDGE_FLOATS = (NAN, INF, -INF, -0.0, 0.0, 1e-05, 1e16, 100000000000.0, 1.0, -2.5e-300)
@@ -46,25 +47,6 @@ def reference_text(report: Report) -> str:
 def assert_writers_match(report: Report) -> None:
     assert render_report_machine(report) == json.dumps(report_to_dict(report), indent=2) + "\n"
     assert render_report_text(report) == reference_text(report)
-
-
-def ladder_text(rng: random.Random, n: int) -> str:
-    """One spin in a y field, a random analyzer at each of n times, all 2**n
-    sign sequences as histories."""
-    def w():
-        return f"w({math.acos(rng.uniform(-1, 1))!r},{rng.uniform(0, 2 * math.pi)!r})"
-
-    state, omega = w(), rng.uniform(0.5, 3.0)
-    dirs = [w() for _ in range(n)]
-    rows = [
-        "history = " + " ".join(f"{d}{k}{s}" for k, (d, s) in enumerate(zip(dirs, signs), 1))
-        for signs in itertools.product("+-", repeat=n)
-    ]
-    return "\n".join([
-        "[scenario]", "name = ladder", "[system]", "spins = 1", "[state]",
-        f"named = {state}+", "[grid]", "times = " + " ".join(f"{k}.0" for k in range(n + 1)),
-        "[schedule]", f"segment = 0.0 {n}.0 y {omega!r}", "[family ladder]", *rows,
-    ]) + "\n"
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -109,3 +91,11 @@ def test_batch_rounding_equals_round12():
     got = _round12_all(np.array(values))
     assert [repr(x) for x in got] == [repr(round12(x)) for x in values]
     assert _round12_all(np.array([])) == []
+
+
+def test_ladder_reports_match_their_digests():
+    golden = json.loads(ladder_golden.DIGESTS.read_text(encoding="utf-8"))
+    assert len(golden) == len(ladder_golden.SEEDS) * len(ladder_golden.TOLS)
+    got = ladder_golden.digests()
+    assert [case for case in golden if got.get(case) != golden[case]] == []
+    assert got.keys() == golden.keys()
