@@ -182,6 +182,11 @@ class ConsistencyReport:
     probability_sum: float
 
 
+def _norm(v: np.ndarray) -> float:
+    """||v||, without np.linalg.norm's per-call overhead on a short vector."""
+    return math.sqrt(np.vdot(v, v).real)
+
+
 def _chain_kets(f: Family, tol: float = EPS_CONS) -> tuple[np.ndarray, bool]:
     """One walk of the event-prefix tree: the N x dim array of chain kets, one
     row per history, and whether every live node passes the exhaustiveness
@@ -206,10 +211,9 @@ def _chain_kets(f: Family, tol: float = EPS_CONS) -> tuple[np.ndarray, bool]:
         for i in indices:
             groups.setdefault(f.histories[i].events[depth].label, []).append(i)
         children = [(hei[depth][label] @ chi, idx) for label, idx in groups.items()]
-        dead = dead or np.linalg.norm(chi) <= tol
+        dead = dead or _norm(chi) <= tol
         if exhaustive and not dead:
-            covered = sum(child for child, _ in children)
-            exhaustive = not np.linalg.norm(covered - chi) > tol  # a NaN residual passes
+            exhaustive = _norm(sum(child for child, _ in children) - chi) <= tol  # NaN fails
         for child, idx in children:
             walk(idx, depth + 1, child, dead)
 
@@ -233,15 +237,16 @@ def check_consistency(f: Family, tol: float = EPS_CONS) -> ConsistencyReport:
     """Decide whether a family is a consistent framework.
 
     Returns a verdict for every family: inconsistent families are legal
-    values, they just cannot be assigned probabilities. The only raise is a
-    ValueError when ``tol`` is not finite and positive.
+    values, they just cannot be assigned probabilities. It raises ValueError
+    when ``tol`` is not finite and positive, or when the dynamics turn a
+    state by a phase too large to represent (see :func:`unitary_exp`).
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     kets, exhaustive = _chain_kets(f, tol)
     overlaps = kets.conj() @ kets.T  # D = K^dag K
     probabilities = tuple(overlaps.diagonal().real.tolist())
-    rows, cols = np.argwhere(np.triu(np.abs(overlaps) > tol, 1)).T
+    rows, cols = np.argwhere(np.triu(~(np.abs(overlaps) <= tol), 1)).T  # NaN violates
     violating = tuple(
         zip((rows + 1).tolist(), (cols + 1).tolist(), overlaps[rows, cols].tolist())
     )
@@ -298,7 +303,10 @@ def collapse_family(
     Born weights as probabilities.
     """
     psi0 = as_state(psi0)
-    basis = [as_state(v) for v in observable_basis]
+    try:
+        basis = [as_state(v) for v in observable_basis]
+    except ValueError as exc:
+        raise ValueError(f"observable basis is not orthonormal: {exc}") from None
     dim = psi0.shape[0]
     if len(basis) != dim:
         raise ValueError(f"observable basis has {len(basis)} vectors, need {dim}")

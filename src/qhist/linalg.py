@@ -8,6 +8,7 @@ routines favour clarity and exactness over scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,18 +44,22 @@ EPS_INPUT_NORM = 1e-6
 
 
 def as_state(v) -> np.ndarray:
-    """Coerce to a 1-D complex vector."""
+    """Coerce to a 1-D complex vector of finite entries."""
     arr = np.asarray(v, dtype=complex)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"expected a 1-D state vector, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("state vector has non-finite entries and cannot be normalized")
     return arr
 
 
 def as_operator(m) -> np.ndarray:
-    """Coerce to a square complex matrix."""
+    """Coerce to a square complex matrix of finite entries."""
     arr = np.asarray(m, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise ValueError(f"expected a square operator, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("operator has non-finite entries")
     return arr
 
 
@@ -130,8 +135,6 @@ class Projector:
 
     def __post_init__(self):
         m = as_operator(self.matrix).copy()
-        if not np.isfinite(m).all():
-            raise ValueError(f"projector {self.label!r}: matrix has non-finite entries")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -173,11 +176,15 @@ def unitary_exp(h, duration: float) -> np.ndarray:
 
     Uses the eigendecomposition of h rather than a power series, so the
     result is unitary up to diagonalization error even for long durations.
+    Raises ValueError when an eigenvalue times ``duration`` is not finite:
+    no phase can be formed from it.
     """
     h = as_operator(h)
     if not is_hermitian(h):
         raise ValueError("unitary_exp requires a self-adjoint generator")
     w, vecs = np.linalg.eigh(h)
+    if not math.isfinite(float(np.max(np.abs(w))) * float(duration)):
+        raise ValueError(f"unitary_exp: h * duration is not finite (duration {duration!r})")
     phases = np.exp(-1j * w * duration)
     return (vecs * phases) @ vecs.conj().T
 

@@ -17,14 +17,18 @@ Both renderers write their text straight from the report, one format
 template per violating pair, so a report of 10^5 pairs costs no tree of
 dicts and no pass of :mod:`json`'s pure-Python indenting encoder; the
 machine form stays byte for byte ``json.dumps(report_to_dict(r), indent=2)``
-plus a newline.
+plus a newline. A report from :func:`run_scenario` also carries the 12-digit
+text it rounded every number through, so each number is formatted once: the
+text form prints that text, and the machine form prints it in
+:mod:`json`'s spelling (see :func:`_json_numbers`). Any other report is
+written from its floats.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -45,11 +49,12 @@ def round12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _round12_all(values) -> list[float]:
-    """round12 of every value in one batch (NaN and infinities pass through)."""
+def _round12_all(values) -> str:
+    """The "%.12g" text of round12 of every value, each followed by a space
+    (NaN and infinities pass through); float() of a text is that value."""
     a = np.asarray(values, dtype=float)
     a = np.where(np.abs(a) < _ZERO_BELOW, 0.0, a)  # also turns -0.0 into +0.0
-    return list(map(float, ("%.12g " * a.size % tuple(a.tolist())).split()))
+    return "%.12g " * a.size % tuple(a.tolist())
 
 
 @dataclass(frozen=True)
@@ -59,6 +64,9 @@ class FamilyResult:
     exhaustive: bool
     violating_pairs: tuple[tuple[int, int, float, float], ...]
     probabilities: tuple[float, ...]
+    # set by run_scenario: the _round12_all text of every pair's re, then
+    # every pair's im, then every probability
+    _texts: str | None = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -81,16 +89,17 @@ def run_scenario(doc: ScenarioDoc | BuiltScenario, tol: float = EPS_CONS) -> Rep
         i, j, overlaps = zip(*verdict.violating_pairs) if n else ((), (), ())
         overlaps = np.array(overlaps, dtype=complex)
         probs = verdict.probabilities if verdict.consistent else ()
-        rounded = _round12_all(np.concatenate((overlaps.real, overlaps.imag, probs)))
-        results.append(
-            FamilyResult(
-                name=name,
-                consistent=verdict.consistent,
-                exhaustive=verdict.exhaustive,
-                violating_pairs=tuple(zip(i, j, rounded[:n], rounded[n:2 * n])),
-                probabilities=tuple(rounded[2 * n:]),
-            )
+        texts = _round12_all(np.concatenate((overlaps.real, overlaps.imag, probs)))
+        rounded = list(map(float, texts.split()))
+        result = FamilyResult(
+            name=name,
+            consistent=verdict.consistent,
+            exhaustive=verdict.exhaustive,
+            violating_pairs=tuple(zip(i, j, rounded[:n], rounded[n:2 * n])),
+            probabilities=tuple(rounded[2 * n:]),
         )
+        object.__setattr__(result, "_texts", texts)
+        results.append(result)
     return Report(built.doc.name, tuple(results))
 
 
@@ -131,12 +140,13 @@ def report_from_dict(data: dict) -> Report:
 
 
 # Templates of the indent=2 layout; every %s takes a value that prints as
-# json prints it (see _json_values).
+# json prints it (see _json_values and _json_numbers).
 _PAIR_JSON = ('{\n          "i": %s,\n          "j": %s,\n'
               '          "re": %s,\n          "im": %s\n        }')
 _FAMILY_JSON = ('{\n      "name": %s,\n      "consistent": %s,\n'
                 '      "exhaustive": %s,\n      "violating_pairs": %s,\n'
                 '      "probabilities": %s\n    }')
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_values(values: tuple) -> tuple:
@@ -148,6 +158,30 @@ def _json_values(values: tuple) -> tuple:
         v if math.isfinite(v) else "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
         for v in values
     )
+
+
+def _json_numbers(texts: list[str]) -> list[str]:
+    """For each "%.12g" text t, what json.dumps prints for float(t).
+
+    Twelve digits survive the round trip through a float, so json's repr
+    has t's digits; only the layout can differ. It does for integral values
+    (repr adds ".0"), for 1e12 <= |x| < 1e16 (repr is positional there) and
+    for NaN and the infinities (json's own spellings). A text with a "." and
+    no "e+1" exponent is none of these, and is already what json prints."""
+    return [t if "." in t and "e+1" not in t else _JSON_NONFINITE.get(t) or repr(float(t))
+            for t in texts]
+
+
+def _columns(f: FamilyResult) -> tuple:
+    """Every pair's re, then every pair's im, then every probability: the
+    order in which run_scenario rounds them (and keeps their texts)."""
+    pairs = f.violating_pairs
+    return (*(p[2] for p in pairs), *(p[3] for p in pairs), *f.probabilities)
+
+
+def _pair_values(pairs, re, im) -> tuple:
+    """i, j, re, im of every pair in turn, with re and im from the columns given."""
+    return tuple(chain.from_iterable(zip([p[0] for p in pairs], [p[1] for p in pairs], re, im)))
 
 
 def _json_array(template: str, values: tuple, n: int, depth: int) -> str:
@@ -164,23 +198,30 @@ def _json_bool(b: bool) -> str:
     return "true" if b else "false"
 
 
+def _family_json(f: FamilyResult) -> str:
+    n = len(f.violating_pairs)
+    if f._texts is None:
+        numbers = _json_values(_columns(f))
+    else:
+        numbers = _json_numbers(f._texts.split())
+    probs = tuple(numbers[2 * n:])
+    return _FAMILY_JSON % (
+        json.dumps(f.name), _json_bool(f.consistent), _json_bool(f.exhaustive),
+        _json_array(_PAIR_JSON, _pair_values(f.violating_pairs, numbers[:n], numbers[n:2 * n]),
+                    n, 3),
+        _json_array("%s", probs, len(probs), 3),
+    )
+
+
 def render_report_machine(report: Report) -> str:
     """``json.dumps(report_to_dict(report), indent=2) + "\n"``, written directly."""
-    families = tuple(
-        _FAMILY_JSON % (
-            json.dumps(f.name), _json_bool(f.consistent), _json_bool(f.exhaustive),
-            _json_array(_PAIR_JSON, _json_values(tuple(chain.from_iterable(f.violating_pairs))),
-                        len(f.violating_pairs), 3),
-            _json_array("%s", _json_values(tuple(f.probabilities)), len(f.probabilities), 3),
-        )
-        for f in report.families
-    )
+    families = tuple(map(_family_json, report.families))
     return ('{\n  "scenario": ' + json.dumps(report.scenario) + ',\n  "families": '
             + _json_array("%s", families, len(families), 1) + "\n}\n")
 
 
 # one violating pair of the text report
-_PAIR_TEXT = "    (%d, %d): overlap re=%.12g im=%.12g"
+_PAIR_TEXT = "    (%d, %d): overlap re=%s im=%s"
 
 
 def render_report_text(report: Report) -> str:
@@ -188,13 +229,18 @@ def render_report_text(report: Report) -> str:
     for f in report.families:
         verdict = "consistent" if f.consistent else "inconsistent"
         lines.append(f"family {f.name}: {verdict} (exhaustive: {'yes' if f.exhaustive else 'no'})")
+        n = len(f.violating_pairs)
+        if f._texts is None:
+            values = _columns(f)
+            texts = ("%.12g " * len(values) % values).split()
+        else:
+            texts = f._texts.split()
         if f.consistent:
-            probs = ", ".join(["%.12g"] * len(f.probabilities)) % tuple(f.probabilities)
-            lines.append(f"  probabilities: {probs}")
+            lines.append(f"  probabilities: {', '.join(texts[2 * n:])}")
             lines.append(f"  probability sum: {sum(f.probabilities):.12g}")
         else:
-            lines.append(f"  violating pairs ({len(f.violating_pairs)}):")
-            if f.violating_pairs:
-                lines.append("\n".join([_PAIR_TEXT] * len(f.violating_pairs))
-                             % tuple(chain.from_iterable(f.violating_pairs)))
+            lines.append(f"  violating pairs ({n}):")
+            if n:
+                lines.append("\n".join([_PAIR_TEXT] * n)
+                             % _pair_values(f.violating_pairs, texts[:n], texts[n:2 * n]))
     return "\n".join(lines) + "\n"

@@ -143,18 +143,23 @@ class ScenarioDoc:
 
 
 _PIECE = re.compile(r"\S+")
-# a piece in which every '(' closes before the next one opens leaves the
-# parenthesis depth as it found it
+# text in which every '(' closes before the next one opens, and every ')'
+# closes one: no parenthesis is nested, stray or left open
 _FLAT_GROUPS = re.compile(r"[^()]*(?:\([^()]*\)[^()]*)*")
+# a token of such text: non-space runs outside parentheses, and whole groups
+_FLAT_TOKEN = re.compile(r"(?:[^\s(]+|\([^)]*\))+")
 
 
 def _split_tokens(text: str) -> list[tuple[str, int]]:
     """Whitespace-split outside parentheses; yields (token, 1-based column).
 
-    The text is taken in whitespace-free pieces; whitespace after a piece
-    ends the token unless a parenthesis is still open. A ')' with no '(' open
-    is plain text; a '(' never closed keeps the rest of the text, whitespace
-    included, in its token."""
+    Text with flat parentheses (every line a scenario usually holds) is split
+    by one regex pass. Otherwise the text is taken in whitespace-free pieces;
+    whitespace after a piece ends the token unless a parenthesis is still
+    open. A ')' with no '(' open is plain text; a '(' never closed keeps the
+    rest of the text, whitespace included, in its token."""
+    if _FLAT_GROUPS.fullmatch(text):
+        return [(m.group(), m.start() + 1) for m in _FLAT_TOKEN.finditer(text)]
     tokens: list[tuple[str, int]] = []
     start = end = -1
     depth = 0
@@ -164,13 +169,11 @@ def _split_tokens(text: str) -> list[tuple[str, int]]:
                 tokens.append((text[start:end], start + 1))
             start = m.start()
         end = m.end()
-        piece = m.group()
-        if ("(" in piece or ")" in piece) and not _FLAT_GROUPS.fullmatch(piece):
-            for ch in piece:
-                if ch == "(":
-                    depth += 1
-                elif ch == ")" and depth:
-                    depth -= 1
+        for ch in m.group():
+            if ch == "(":
+                depth += 1
+            elif ch == ")" and depth:
+                depth -= 1
     if start >= 0:
         tokens.append((text[start:len(text) if depth else end], start + 1))
     return tokens

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from qhist import histories
 from qhist.dynamics import Schedule, Segment, TimeGrid
 from qhist.histories import (
     Event,
@@ -23,7 +24,7 @@ from qhist.histories import (
 )
 from qhist.linalg import EPS_CONS, projector_onto
 from qhist.scenario import build_scenario, builtin_scenario
-from qhist.spin import Direction, X, Z, basis_for, singlet
+from qhist.spin import Direction, X, Z, basis_for, singlet, spin_operator
 
 GRID2 = TimeGrid((0.0, 1.0))
 GRID3 = TimeGrid((0.0, 1.0, 2.0))
@@ -357,6 +358,27 @@ def test_random_exhaustive_two_time_families_consistent(rng):
             [[("r0", events[0])], [("r1", events[1])]],
         )
         assert check_consistency(fam).consistent
+
+
+def test_a_phase_too_large_to_represent_raises_instead_of_a_nan_report():
+    # 1e300 * S_w over 2e10 time units: the propagator's phases overflow
+    field = Segment(0.0, 2e10, 1e300 * spin_operator(Direction(1.1, 0.3)))
+    fam = family_from_event_table(
+        oracles.ZP, TimeGrid((0.0, 2e10)), Schedule(2, (field,)),
+        [[("z1+", ZP_PROJ)], [("z1-", ZM_PROJ)]],
+    )
+    with pytest.raises(ValueError, match="not finite"):
+        check_consistency(fam)
+
+
+def test_nan_chain_kets_fail_closed(monkeypatch):
+    # a NaN propagator makes every chain ket NaN: neither exhaustive nor orthogonal
+    monkeypatch.setattr(histories, "propagator", lambda *args: np.full((2, 2), math.nan))
+    report = check_consistency(eq23_family())
+    assert not report.consistent
+    assert not report.exhaustive
+    assert [(i, j) for i, j, _ in report.violating_pairs] == list(
+        itertools.combinations(range(1, 5), 2))
 
 
 def test_family_validation_errors():

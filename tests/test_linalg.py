@@ -197,6 +197,33 @@ def test_unitary_exp_rejects_non_hermitian():
         unitary_exp(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
 
+@pytest.mark.parametrize("scale, duration", [(1e300, 2e10), (1e300, -2e10), (1.0, math.inf),
+                                             (1.0, math.nan)])
+def test_unitary_exp_rejects_a_phase_too_large_to_represent(scale, duration):
+    with pytest.raises(ValueError, match="not finite"):
+        unitary_exp(scale * oracles.SZ, duration)
+
+
+def test_normalized_rejects_non_finite_entries():
+    with pytest.raises(ValueError, match="non-finite"):
+        normalized([math.nan, 1.0])
+
+
+def test_inner_rejects_non_finite_entries():
+    with pytest.raises(ValueError, match="non-finite"):
+        inner([math.inf, 0.0], [1.0, 0.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        inner([1.0, 0.0], [complex(0.0, math.nan), 0.0])
+
+
+def test_operators_reject_non_finite_entries():
+    for bad in ([[math.nan, 0.0], [0.0, 1.0]], [[1.0, math.inf], [math.inf, 1.0]]):
+        with pytest.raises(ValueError, match="non-finite"):
+            as_projector(bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            commutes(bad, identity(2))
+
+
 def test_commutes_same_basis():
     zp = projector_onto(oracles.ZP).matrix
     zm = projector_onto(oracles.ZM).matrix

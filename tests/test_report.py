@@ -5,6 +5,7 @@ rounding is round12 applied to each value."""
 
 import json
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from qhist.report import (
     FamilyResult,
     Report,
+    _json_numbers,
     _round12_all,
     render_report_machine,
     render_report_text,
@@ -59,6 +61,17 @@ def test_writers_match_on_seeded_ladders(seed):
         assert report_from_dict(json.loads(render_report_machine(report))) == report
 
 
+def test_a_result_changed_after_run_scenario_is_written_from_its_floats():
+    report = run_scenario(parse_scenario(ladder_text(random.Random(3), 3)), 1e-3)
+    (f,) = report.families
+    thirds = replace(
+        f, violating_pairs=tuple((i, j, re / 3, im) for i, j, re, im in f.violating_pairs),
+        probabilities=tuple(p / 3 for p in f.probabilities) + (1 / 3,),
+    )
+    assert thirds.violating_pairs and thirds.violating_pairs != f.violating_pairs
+    assert_writers_match(Report(report.scenario, (thirds, f, replace(thirds, consistent=True))))
+
+
 def test_writers_match_on_edge_cases():
     names = ('plain', 'quote " inside', "back\\slash", "tab\tand\nnewline", "snow ☃ é", "")
     pairs = tuple(
@@ -88,9 +101,25 @@ def test_batch_rounding_equals_round12():
     rng = np.random.default_rng(7)
     randoms = (rng.uniform(-1, 1, 2000) * 10.0 ** rng.integers(-15, 20, 2000)).tolist()
     values = specials + randoms
-    got = _round12_all(np.array(values))
-    assert [repr(x) for x in got] == [repr(round12(x)) for x in values]
-    assert _round12_all(np.array([])) == []
+    texts = _round12_all(np.array(values)).split()
+    assert [repr(float(t)) for t in texts] == [repr(round12(x)) for x in values]
+    assert texts == ["%.12g" % round12(x) for x in values]
+    assert _round12_all(np.array([])) == ""
+
+
+def test_json_numbers_equal_json_dumps_of_the_rounded_floats():
+    edges = [0.0, -0.0, 1.0, -1.0, 1e11, 1e12, -1e12, 1e15, 1e16, -1e16, 1e-05, NAN, INF, -INF,
+             4e-13, -9.99e-13, 5e-324, 12.0, -3.0, 999999999999.5, 9999999999999999.0,
+             123456789012345.0, 1.5e12, 2.5e15, 1e100, 1.5e-100, 1e22, 0.0001, 1e-4 * 0.99]
+    rng = np.random.default_rng(11)
+    randoms = (rng.uniform(-1, 1, 6000) * 10.0 ** rng.integers(-16, 24, 6000)).tolist()
+    integers = (rng.integers(-10**6, 10**6, 2000) * 10.0 ** rng.integers(0, 18, 2000)).tolist()
+    near_switch = (np.array([1e12, 1e16, 1e-4]).repeat(400)
+                   * (1 + rng.uniform(-1e-11, 1e-11, 1200))).tolist()
+    values = edges + randoms + integers + near_switch
+    texts = _round12_all(np.array(values)).split()
+    assert _json_numbers(texts) == [json.dumps(round12(x)) for x in values]
+    assert _json_numbers([]) == []
 
 
 def test_ladder_reports_match_their_digests():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from qhist.histories import check_consistency
@@ -113,6 +115,12 @@ def reference_split(text: str) -> list[tuple[str, int]]:
     "x1+ w(1,2)2+   ", "w(1,2 )2+ \t", "a ( b\u00a0c ) d\u2003e", "()() (( )) )(",
 ])
 def test_split_tokens_matches_the_character_loop(text):
+    assert _split_tokens(text) == reference_split(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="w1+(),. \t\u2003", max_size=40))
+def test_split_tokens_matches_the_character_loop_on_random_text(text):
     assert _split_tokens(text) == reference_split(text)
 
 
