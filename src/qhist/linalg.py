@@ -8,7 +8,6 @@ routines favour clarity and exactness over scale.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,7 +182,7 @@ def unitary_exp(h, duration: float) -> np.ndarray:
     if not is_hermitian(h):
         raise ValueError("unitary_exp requires a self-adjoint generator")
     w, vecs = np.linalg.eigh(h)
-    if not math.isfinite(float(np.max(np.abs(w))) * float(duration)):
+    if not np.isfinite(float(np.max(np.abs(w))) * float(duration)):
         raise ValueError(f"unitary_exp: h * duration is not finite (duration {duration!r})")
     phases = np.exp(-1j * w * duration)
     return (vecs * phases) @ vecs.conj().T

@@ -139,13 +139,17 @@ def report_from_dict(data: dict) -> Report:
     return Report(data["scenario"], families)
 
 
-# Templates of the indent=2 layout; every %s takes a value that prints as
-# json prints it (see _json_values and _json_numbers).
+# Pieces of the indent=2 layout; every %s takes a value that prints as json
+# prints it (see _json_values and _json_numbers). A family is written as
+# _FAMILY_HEAD, its pairs array, _FAMILY_MID, its probabilities array and
+# _FAMILY_TAIL, and the document is joined from such pieces once, so the text
+# of a large pairs array is copied into the report once.
 _PAIR_JSON = ('{\n          "i": %s,\n          "j": %s,\n'
               '          "re": %s,\n          "im": %s\n        }')
-_FAMILY_JSON = ('{\n      "name": %s,\n      "consistent": %s,\n'
-                '      "exhaustive": %s,\n      "violating_pairs": %s,\n'
-                '      "probabilities": %s\n    }')
+_FAMILY_HEAD = ('{\n      "name": %s,\n      "consistent": %s,\n'
+                '      "exhaustive": %s,\n      "violating_pairs": ')
+_FAMILY_MID = ',\n      "probabilities": '
+_FAMILY_TAIL = '\n    }'
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -184,40 +188,45 @@ def _pair_values(pairs, re, im) -> tuple:
     return tuple(chain.from_iterable(zip([p[0] for p in pairs], [p[1] for p in pairs], re, im)))
 
 
-def _json_array(template: str, values: tuple, n: int, depth: int) -> str:
+def _json_array(template: str, values: tuple, n: int, depth: int) -> list[str]:
     """A JSON array of n elements, each ``template`` filled from ``values`` in
     turn, laid out the way json.dumps(indent=2) lays out an array that sits
-    at nesting ``depth``."""
+    at nesting ``depth``; returned as pieces for the caller to join."""
     if not n:
-        return "[]"
+        return ["[]"]
     inner = "\n" + "  " * (depth + 1)
-    return f"[{inner}" + f",{inner}".join([template] * n) % values + "\n" + "  " * depth + "]"
+    return [f"[{inner}", f",{inner}".join([template] * n) % values, "\n" + "  " * depth + "]"]
 
 
 def _json_bool(b: bool) -> str:
     return "true" if b else "false"
 
 
-def _family_json(f: FamilyResult) -> str:
+def _family_json(f: FamilyResult) -> list[str]:
     n = len(f.violating_pairs)
     if f._texts is None:
         numbers = _json_values(_columns(f))
     else:
         numbers = _json_numbers(f._texts.split())
     probs = tuple(numbers[2 * n:])
-    return _FAMILY_JSON % (
-        json.dumps(f.name), _json_bool(f.consistent), _json_bool(f.exhaustive),
-        _json_array(_PAIR_JSON, _pair_values(f.violating_pairs, numbers[:n], numbers[n:2 * n]),
-                    n, 3),
-        _json_array("%s", probs, len(probs), 3),
-    )
+    return [
+        _FAMILY_HEAD % (json.dumps(f.name), _json_bool(f.consistent), _json_bool(f.exhaustive)),
+        *_json_array(_PAIR_JSON, _pair_values(f.violating_pairs, numbers[:n], numbers[n:2 * n]),
+                     n, 3),
+        _FAMILY_MID,
+        *_json_array("%s", probs, len(probs), 3),
+        _FAMILY_TAIL,
+    ]
 
 
 def render_report_machine(report: Report) -> str:
     """``json.dumps(report_to_dict(report), indent=2) + "\n"``, written directly."""
-    families = tuple(map(_family_json, report.families))
-    return ('{\n  "scenario": ' + json.dumps(report.scenario) + ',\n  "families": '
-            + _json_array("%s", families, len(families), 1) + "\n}\n")
+    pieces = ['{\n  "scenario": ', json.dumps(report.scenario), ',\n  "families": ']
+    for k, f in enumerate(report.families):
+        pieces.append(",\n    " if k else "[\n    ")
+        pieces += _family_json(f)
+    pieces.append("\n  ]\n}\n" if report.families else "[]\n}\n")
+    return "".join(pieces)
 
 
 # one violating pair of the text report
@@ -243,4 +252,5 @@ def render_report_text(report: Report) -> str:
             if n:
                 lines.append("\n".join([_PAIR_TEXT] * n)
                              % _pair_values(f.violating_pairs, texts[:n], texts[n:2 * n]))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the closing newline, without copying the report again
+    return "\n".join(lines)
