@@ -182,7 +182,8 @@ def unitary_exp(h, duration: float) -> np.ndarray:
     if not is_hermitian(h):
         raise ValueError("unitary_exp requires a self-adjoint generator")
     w, vecs = np.linalg.eigh(h)
-    if not np.isfinite(float(np.max(np.abs(w))) * float(duration)):
+    ws = w.tolist()  # ascending, so the largest |w| sits at an end
+    if not max(-ws[0], ws[-1]) * abs(float(duration)) < float("inf"):  # NaN fails too
         raise ValueError(f"unitary_exp: h * duration is not finite (duration {duration!r})")
     phases = np.exp(-1j * w * duration)
     return (vecs * phases) @ vecs.conj().T
