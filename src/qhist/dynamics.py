@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import EPS_OP, as_operator, identity, is_hermitian, unitary_exp
+from .linalg import EPS_OP, _is_hermitian, as_operator, identity, unitary_exp
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class Segment:
         if not self.t_end > self.t_start:
             raise ValueError(f"segment interval [{self.t_start}, {self.t_end}) is empty")
         h = as_operator(self.hamiltonian).copy()
-        if not is_hermitian(h):
+        if not _is_hermitian(h):
             raise ValueError("segment Hamiltonian must be self-adjoint")
         h.setflags(write=False)
         object.__setattr__(self, "hamiltonian", h)

@@ -93,6 +93,15 @@ class History:
         return tuple(ev.label for ev in self.events)
 
 
+def _initial_state(psi0) -> np.ndarray:
+    """psi0 as a state vector; one with non-finite entries has no norm, and
+    is rejected as not normalized."""
+    arr = np.asarray(psi0, dtype=complex)
+    if not np.isfinite(arr).all():
+        raise ValueError("initial state must be normalized: it has non-finite entries")
+    return as_state(arr)
+
+
 @dataclass(frozen=True, eq=False)
 class Family:
     """A candidate framework: shared initial state, grid and dynamics, plus
@@ -109,7 +118,7 @@ class Family:
     _branches: tuple[dict[str, Projector], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        state = as_state(self.initial_state).copy()
+        state = _initial_state(self.initial_state).copy()
         if not abs(np.linalg.norm(state) - 1.0) <= EPS_NORM:
             raise ValueError("initial state must be normalized")
         state.setflags(write=False)
@@ -280,7 +289,7 @@ def unitary_family(psi0, grid: TimeGrid, schedule: Schedule) -> Family:
     Events are the projectors onto U(t0->tk)|psi0>, labelled "psi1".."psin";
     the family is consistent with probability 1 by construction.
     """
-    psi0 = as_state(psi0)
+    psi0 = _initial_state(psi0)
     t0 = grid.times[0]
     events = []
     for k in range(1, grid.n_events + 1):
@@ -302,11 +311,11 @@ def collapse_family(
     one history per basis vector. The family is consistent, with final-time
     Born weights as probabilities.
     """
-    psi0 = as_state(psi0)
-    try:
-        basis = [as_state(v) for v in observable_basis]
-    except ValueError as exc:
-        raise ValueError(f"observable basis is not orthonormal: {exc}") from None
+    psi0 = _initial_state(psi0)
+    vectors = [np.asarray(v, dtype=complex) for v in observable_basis]
+    if not all(np.isfinite(v).all() for v in vectors):
+        raise ValueError("observable basis is not orthonormal: it has non-finite entries")
+    basis = [as_state(v) for v in vectors]
     dim = psi0.shape[0]
     if len(basis) != dim:
         raise ValueError(f"observable basis has {len(basis)} vectors, need {dim}")
@@ -360,7 +369,7 @@ def family_from_event_table(
     ``None`` stands for the identity projector; rows follow the grid's event
     times in order.
     """
-    psi0 = as_state(psi0)
+    psi0 = _initial_state(psi0)
     one = identity_projector(psi0.shape[0])
     histories = []
     for row in table:

@@ -48,7 +48,7 @@ def as_state(v) -> np.ndarray:
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"expected a 1-D state vector, got shape {arr.shape}")
     if not np.isfinite(arr).all():
-        raise ValueError("state vector has non-finite entries and cannot be normalized")
+        raise ValueError("state vector has non-finite entries")
     return arr
 
 
@@ -106,7 +106,11 @@ def max_abs(m) -> float:
 
 
 def is_hermitian(m) -> bool:
-    m = as_operator(m)
+    return _is_hermitian(as_operator(m))
+
+
+def _is_hermitian(m: np.ndarray) -> bool:
+    """is_hermitian of a matrix that as_operator has already coerced."""
     return max_abs(m - m.conj().T) <= EPS_OP
 
 
@@ -133,7 +137,10 @@ class Projector:
     label: str = ""
 
     def __post_init__(self):
-        m = as_operator(self.matrix).copy()
+        try:
+            m = as_operator(self.matrix).copy()
+        except ValueError as exc:
+            raise ValueError(f"projector {self.label!r}: {exc}") from None
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -147,17 +154,18 @@ class Projector:
 
 def is_projector(m) -> bool:
     m = as_operator(m)
-    return is_hermitian(m) and max_abs(m @ m - m) <= EPS_OP
+    return _is_hermitian(m) and max_abs(m @ m - m) <= EPS_OP
 
 
 def as_projector(m, label: str = "") -> Projector:
     """Certify a matrix as a projector; raises ValueError if it is not one."""
-    m = as_operator(m)
-    if not is_hermitian(m):
+    p = Projector(m, label)  # coerces m once, and rejects non-finite entries
+    m = p.matrix
+    if not _is_hermitian(m):
         raise ValueError(f"projector {label!r}: matrix is not self-adjoint")
     if max_abs(m @ m - m) > EPS_OP:
         raise ValueError(f"projector {label!r}: matrix is not idempotent")
-    return Projector(m, label)
+    return p
 
 
 def projector_onto(v, label: str = "") -> Projector:
@@ -179,7 +187,7 @@ def unitary_exp(h, duration: float) -> np.ndarray:
     no phase can be formed from it.
     """
     h = as_operator(h)
-    if not is_hermitian(h):
+    if not _is_hermitian(h):
         raise ValueError("unitary_exp requires a self-adjoint generator")
     w, vecs = np.linalg.eigh(h)
     ws = w.tolist()  # ascending, so the largest |w| sits at an end

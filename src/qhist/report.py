@@ -18,10 +18,9 @@ template per violating pair, so a report of 10^5 pairs costs no tree of
 dicts and no pass of :mod:`json`'s pure-Python indenting encoder; the
 machine form stays byte for byte ``json.dumps(report_to_dict(r), indent=2)``
 plus a newline. A report from :func:`run_scenario` also carries the 12-digit
-text it rounded every number through, so each number is formatted once: the
-text form prints that text, and the machine form prints it in
-:mod:`json`'s spelling (see :func:`_json_numbers`). Any other report is
-written from its floats.
+text it rounded every number through, which the machine form prints in
+:mod:`json`'s spelling (see :func:`_json_numbers`) instead of formatting each
+float again; any other report is written from its floats.
 """
 
 from __future__ import annotations
@@ -230,7 +229,7 @@ def render_report_machine(report: Report) -> str:
 
 
 # one violating pair of the text report
-_PAIR_TEXT = "    (%d, %d): overlap re=%s im=%s"
+_PAIR_TEXT = "    (%d, %d): overlap re=%.12g im=%.12g"
 
 
 def render_report_text(report: Report) -> str:
@@ -238,19 +237,13 @@ def render_report_text(report: Report) -> str:
     for f in report.families:
         verdict = "consistent" if f.consistent else "inconsistent"
         lines.append(f"family {f.name}: {verdict} (exhaustive: {'yes' if f.exhaustive else 'no'})")
-        n = len(f.violating_pairs)
-        if f._texts is None:
-            values = _columns(f)
-            texts = ("%.12g " * len(values) % values).split()
-        else:
-            texts = f._texts.split()
         if f.consistent:
-            lines.append(f"  probabilities: {', '.join(texts[2 * n:])}")
+            probs = ", ".join(["%.12g"] * len(f.probabilities)) % tuple(f.probabilities)
+            lines.append(f"  probabilities: {probs}")
             lines.append(f"  probability sum: {sum(f.probabilities):.12g}")
         else:
-            lines.append(f"  violating pairs ({n}):")
-            if n:
-                lines.append("\n".join([_PAIR_TEXT] * n)
-                             % _pair_values(f.violating_pairs, texts[:n], texts[n:2 * n]))
-    lines.append("")  # the closing newline, without copying the report again
-    return "\n".join(lines)
+            lines.append(f"  violating pairs ({len(f.violating_pairs)}):")
+            if f.violating_pairs:
+                lines.append("\n".join([_PAIR_TEXT] * len(f.violating_pairs))
+                             % tuple(chain.from_iterable(f.violating_pairs)))
+    return "\n".join(lines) + "\n"

@@ -169,11 +169,13 @@ def _split_tokens(text: str) -> list[tuple[str, int]]:
                 tokens.append((text[start:end], start + 1))
             start = m.start()
         end = m.end()
-        for ch in m.group():
-            if ch == "(":
-                depth += 1
-            elif ch == ")" and depth:
-                depth -= 1
+        piece = m.group()
+        if ("(" in piece or ")" in piece) and not _FLAT_GROUPS.fullmatch(piece):
+            for ch in piece:
+                if ch == "(":
+                    depth += 1
+                elif ch == ")" and depth:
+                    depth -= 1
     if start >= 0:
         tokens.append((text[start:len(text) if depth else end], start + 1))
     return tokens

@@ -295,6 +295,8 @@ def test_collapse_family_rejects_bad_basis():
         collapse_family(oracles.ZP, GRID3, FREE2, [[math.nan, 0.0], oracles.ZM])
     with pytest.raises(ValueError, match="vectors"):
         collapse_family(oracles.ZP, GRID3, FREE2, [oracles.ZP])
+    with pytest.raises(ValueError, match="^expected a 1-D state vector, got shape"):
+        collapse_family(oracles.ZP, GRID3, FREE2, [np.eye(2), oracles.ZM])
 
 
 def test_replace_events_with_identity_coarse_grains_eq23():

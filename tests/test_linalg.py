@@ -218,8 +218,8 @@ def test_inner_rejects_non_finite_entries():
 
 def test_operators_reject_non_finite_entries():
     for bad in ([[math.nan, 0.0], [0.0, 1.0]], [[1.0, math.inf], [math.inf, 1.0]]):
-        with pytest.raises(ValueError, match="non-finite"):
-            as_projector(bad)
+        with pytest.raises(ValueError, match="projector 'q': operator has non-finite"):
+            as_projector(bad, "q")
         with pytest.raises(ValueError, match="non-finite"):
             commutes(bad, identity(2))
 
