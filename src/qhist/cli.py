@@ -48,6 +48,8 @@ def _read_scenario(path: str):
             text = fh.read()
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"cannot read {path}: {exc}") from exc
     return parse_scenario(text)
 
 
@@ -157,14 +159,25 @@ def _cmd_chsh(args) -> int:
     return EXIT_OK
 
 
-def _tolerance(text: str) -> float:
+def _number(text: str) -> float:
     try:
-        tol = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+
+
+def _tolerance(text: str) -> float:
+    tol = _number(text)
     if not 0.0 < tol < math.inf:
         raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
     return tol
+
+
+def _angle(text: str) -> float:
+    angle = _number(text)
+    if not math.isfinite(angle):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return angle
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("chsh", help="CHSH value for coplanar analyzer angles")
-    p.add_argument("angles", type=float, nargs="*", default=[0.0, 90.0, 45.0, 135.0],
+    p.add_argument("angles", type=_angle, nargs="*", default=[0.0, 90.0, 45.0, 135.0],
                    metavar="DEG", help="four angles a a' b b' in degrees "
                    "(default: 0 90 45 135)")
     p.add_argument("--format", choices=("text", "machine"), default="text")

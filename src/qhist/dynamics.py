@@ -104,3 +104,8 @@ def propagator(schedule: Schedule, t_a: float, t_b: float) -> np.ndarray:
         if hi > lo:
             u = unitary_exp(seg.hamiltonian, hi - lo) @ u
     return u
+
+
+def evolved_state(schedule: Schedule, grid: TimeGrid, psi0: np.ndarray, k: int) -> np.ndarray:
+    """psi0 evolved from the grid's t0 to its time t_k."""
+    return propagator(schedule, grid.times[0], grid.time_at(k)) @ psi0

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import Schedule, TimeGrid, propagator
+from .dynamics import Schedule, TimeGrid, evolved_state, propagator
 from .linalg import (
     EPS_CONS,
     EPS_NORM,
@@ -116,6 +116,8 @@ class Family:
     # per event time k (position k - 1): the distinct events, {label: projector},
     # in order of first appearance
     _branches: tuple[dict[str, Projector], ...] = field(init=False, repr=False)
+    # label sequence -> position of the history that carries it
+    _positions: dict[tuple[str, ...], int] = field(init=False, repr=False)
 
     def __post_init__(self):
         state = _initial_state(self.initial_state).copy()
@@ -135,7 +137,7 @@ class Family:
             raise ValueError("family needs at least one history")
 
         branches = tuple({} for _ in range(n))
-        seen: set[tuple[str, ...]] = set()
+        positions: dict[tuple[str, ...], int] = {}
         for h in self.histories:
             if len(h.events) != n:
                 raise ValueError(
@@ -158,10 +160,11 @@ class Family:
                         f"label {ev.label!r} at time {k} bound to two different projectors"
                     )
             labels = h.labels
-            if labels in seen:
+            if labels in positions:
                 raise ValueError(f"duplicate history {labels}")
-            seen.add(labels)
+            positions[labels] = len(positions)
         object.__setattr__(self, "_branches", branches)
+        object.__setattr__(self, "_positions", positions)
 
     @property
     def dim(self) -> int:
@@ -169,10 +172,10 @@ class Family:
 
     def history_index(self, h: History) -> int:
         """0-based position of a history, matched by its label sequence."""
-        for i, known in enumerate(self.histories):
-            if known.labels == h.labels:
-                return i
-        raise ValueError(f"history {h.labels} is not part of this family")
+        i = self._positions.get(h.labels)
+        if i is None:
+            raise ValueError(f"history {h.labels} is not part of this family")
+        return i
 
 
 @dataclass(frozen=True)
@@ -210,12 +213,14 @@ def _chain_kets(f: Family, tol: float = EPS_CONS) -> tuple[np.ndarray, bool]:
     n = f.grid.n_events
     kets = np.empty((len(f.histories), f.dim), dtype=complex)
     exhaustive = True
-
-    def walk(indices: list[int], depth: int, chi: np.ndarray, dead: bool) -> None:
-        nonlocal exhaustive
+    # nodes still to visit: (histories through the node, its depth, its ket,
+    # whether it lies below a dead node)
+    stack = [(list(range(len(f.histories))), 0, f.initial_state, False)]
+    while stack:
+        indices, depth, chi, dead = stack.pop()
         if depth == n:
             kets[indices[0]] = chi  # labels are unique, so a leaf is one history
-            return
+            continue
         groups: dict[str, list[int]] = {}
         for i in indices:
             groups.setdefault(f.histories[i].events[depth].label, []).append(i)
@@ -223,10 +228,7 @@ def _chain_kets(f: Family, tol: float = EPS_CONS) -> tuple[np.ndarray, bool]:
         dead = dead or _norm(chi) <= tol
         if exhaustive and not dead:
             exhaustive = _norm(sum(child for child, _ in children) - chi) <= tol  # NaN fails
-        for child, idx in children:
-            walk(idx, depth + 1, child, dead)
-
-    walk(list(range(len(f.histories))), 0, f.initial_state, False)
+        stack.extend((idx, depth + 1, child, dead) for child, idx in children)
     return kets, exhaustive
 
 
@@ -290,10 +292,9 @@ def unitary_family(psi0, grid: TimeGrid, schedule: Schedule) -> Family:
     the family is consistent with probability 1 by construction.
     """
     psi0 = _initial_state(psi0)
-    t0 = grid.times[0]
     events = []
     for k in range(1, grid.n_events + 1):
-        state_k = propagator(schedule, t0, grid.time_at(k)) @ psi0
+        state_k = evolved_state(schedule, grid, psi0, k)
         events.append(event(k, projector_onto(state_k, f"psi{k}")))
     return Family(psi0, grid, schedule, (History(tuple(events)),))
 
@@ -326,10 +327,9 @@ def collapse_family(
         labels = tuple(f"e{k}" for k in range(dim))
 
     n = grid.n_events
-    t0 = grid.times[0]
     shared = []
     for k in range(1, n):
-        state_k = propagator(schedule, t0, grid.time_at(k)) @ psi0
+        state_k = evolved_state(schedule, grid, psi0, k)
         shared.append(event(k, projector_onto(state_k, f"psi{k}")))
     histories = []
     for vec, label in zip(basis, labels):

@@ -105,12 +105,8 @@ def max_abs(m) -> float:
     return float(np.max(np.abs(m))) if np.size(m) else 0.0
 
 
-def is_hermitian(m) -> bool:
-    return _is_hermitian(as_operator(m))
-
-
 def _is_hermitian(m: np.ndarray) -> bool:
-    """is_hermitian of a matrix that as_operator has already coerced."""
+    """Whether a matrix that as_operator has already coerced is self-adjoint."""
     return max_abs(m - m.conj().T) <= EPS_OP
 
 

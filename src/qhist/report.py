@@ -26,7 +26,6 @@ float again; any other report is written from its floats.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -138,29 +137,17 @@ def report_from_dict(data: dict) -> Report:
     return Report(data["scenario"], families)
 
 
-# Pieces of the indent=2 layout; every %s takes a value that prints as json
-# prints it (see _json_values and _json_numbers). A family is written as
-# _FAMILY_HEAD, its pairs array, _FAMILY_MID, its probabilities array and
-# _FAMILY_TAIL, and the document is joined from such pieces once, so the text
-# of a large pairs array is copied into the report once.
+# Pieces of the indent=2 layout; every %s takes an int or json's text of a
+# value (see _json_numbers). A family is written as _FAMILY_HEAD, its pairs
+# array, _FAMILY_MID, its probabilities array and _FAMILY_TAIL, and the
+# document is joined from such pieces once, so the text of a large pairs
+# array is copied into the report once.
 _PAIR_JSON = ('{\n          "i": %s,\n          "j": %s,\n'
               '          "re": %s,\n          "im": %s\n        }')
 _FAMILY_HEAD = ('{\n      "name": %s,\n      "consistent": %s,\n'
                 '      "exhaustive": %s,\n      "violating_pairs": ')
 _FAMILY_MID = ',\n      "probabilities": '
 _FAMILY_TAIL = '\n    }'
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_values(values: tuple) -> tuple:
-    """The numbers, each printing under %s as json.dumps prints it: ints and
-    finite floats already do; NaN and the infinities become its spellings."""
-    if math.isfinite(sum(values)):
-        return values
-    return tuple(
-        v if math.isfinite(v) else "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
-        for v in values
-    )
 
 
 def _json_numbers(texts: list[str]) -> list[str]:
@@ -170,9 +157,9 @@ def _json_numbers(texts: list[str]) -> list[str]:
     has t's digits; only the layout can differ. It does for integral values
     (repr adds ".0"), for 1e12 <= |x| < 1e16 (repr is positional there) and
     for NaN and the infinities (json's own spellings). A text with a "." and
-    no "e+1" exponent is none of these, and is already what json prints."""
-    return [t if "." in t and "e+1" not in t else _JSON_NONFINITE.get(t) or repr(float(t))
-            for t in texts]
+    no "e+1" exponent is none of these, and is already what json prints; any
+    other text is handed to json.dumps."""
+    return [t if "." in t and "e+1" not in t else json.dumps(float(t)) for t in texts]
 
 
 def _columns(f: FamilyResult) -> tuple:
@@ -197,19 +184,15 @@ def _json_array(template: str, values: tuple, n: int, depth: int) -> list[str]:
     return [f"[{inner}", f",{inner}".join([template] * n) % values, "\n" + "  " * depth + "]"]
 
 
-def _json_bool(b: bool) -> str:
-    return "true" if b else "false"
-
-
 def _family_json(f: FamilyResult) -> list[str]:
     n = len(f.violating_pairs)
     if f._texts is None:
-        numbers = _json_values(_columns(f))
+        numbers = [json.dumps(v) for v in _columns(f)]
     else:
         numbers = _json_numbers(f._texts.split())
     probs = tuple(numbers[2 * n:])
     return [
-        _FAMILY_HEAD % (json.dumps(f.name), _json_bool(f.consistent), _json_bool(f.exhaustive)),
+        _FAMILY_HEAD % (json.dumps(f.name), json.dumps(f.consistent), json.dumps(f.exhaustive)),
         *_json_array(_PAIR_JSON, _pair_values(f.violating_pairs, numbers[:n], numbers[n:2 * n]),
                      n, 3),
         _FAMILY_MID,

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import Schedule, Segment, TimeGrid
+from .dynamics import Schedule, Segment, TimeGrid, evolved_state
 from .histories import Event, Family, History
 from .linalg import EPS_INPUT_NORM, Projector, as_projector, identity, normalized, tensor
 from .spin import NAMED_DIRECTIONS, Direction, basis_for, spin_operator
@@ -146,20 +146,15 @@ _PIECE = re.compile(r"\S+")
 # text in which every '(' closes before the next one opens, and every ')'
 # closes one: no parenthesis is nested, stray or left open
 _FLAT_GROUPS = re.compile(r"[^()]*(?:\([^()]*\)[^()]*)*")
-# a token of such text: non-space runs outside parentheses, and whole groups
-_FLAT_TOKEN = re.compile(r"(?:[^\s(]+|\([^)]*\))+")
 
 
 def _split_tokens(text: str) -> list[tuple[str, int]]:
     """Whitespace-split outside parentheses; yields (token, 1-based column).
 
-    Text with flat parentheses (every line a scenario usually holds) is split
-    by one regex pass. Otherwise the text is taken in whitespace-free pieces;
-    whitespace after a piece ends the token unless a parenthesis is still
-    open. A ')' with no '(' open is plain text; a '(' never closed keeps the
-    rest of the text, whitespace included, in its token."""
-    if _FLAT_GROUPS.fullmatch(text):
-        return [(m.group(), m.start() + 1) for m in _FLAT_TOKEN.finditer(text)]
+    The text is taken in whitespace-free pieces; whitespace after a piece
+    ends the token unless a parenthesis is still open. A ')' with no '(' open
+    is plain text; a '(' never closed keeps the rest of the text, whitespace
+    included, in its token."""
     tokens: list[tuple[str, int]] = []
     start = end = -1
     depth = 0
@@ -181,7 +176,7 @@ def _split_tokens(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
-def _parse_float(tok: str, what: str, line: int, column: int | None = None) -> float:
+def _parse_float(tok: str, what: str, line: int | None, column: int | None = None) -> float:
     try:
         value = float(tok)
     except ValueError:
@@ -191,7 +186,7 @@ def _parse_float(tok: str, what: str, line: int, column: int | None = None) -> f
     return value
 
 
-def _parse_direction(tok: str, line: int, column: int | None) -> tuple[Direction, str]:
+def _parse_direction(tok: str, line: int | None, column: int | None) -> tuple[Direction, str]:
     """Parse a direction prefix; returns (direction, remainder of token)."""
     if tok.startswith("w("):
         end = tok.find(")")
@@ -220,7 +215,7 @@ def _render_direction(d: Direction) -> str:
     return f"w({d.theta!r},{d.phi!r})"
 
 
-def _parse_sign(ch: str, tok: str, line: int, column: int | None) -> int:
+def _parse_sign(ch: str, tok: str, line: int | None, column: int | None) -> int:
     if ch == "+":
         return +1
     if ch == "-":
@@ -229,7 +224,7 @@ def _parse_sign(ch: str, tok: str, line: int, column: int | None) -> int:
                      expected=("+", "-"))
 
 
-def parse_event_token(tok: str, spins: int, line: int = 0,
+def parse_event_token(tok: str, spins: int, line: int | None = None,
                       column: int | None = None) -> EventSpec:
     """Parse one event token into its factors (no positional checks here)."""
     factors = []
@@ -251,7 +246,7 @@ def parse_event_token(tok: str, spins: int, line: int = 0,
     return tuple(factors)
 
 
-def _parse_event_factor(part: str, tok: str, spins: int, line: int,
+def _parse_event_factor(part: str, tok: str, spins: int, line: int | None,
                         column: int | None) -> EventFactor:
     if part == "1":
         return EventFactor(kind="identity", time_index=0)
@@ -667,15 +662,12 @@ def _event_projector(spec: EventSpec, spins: int, psi0: np.ndarray, grid: TimeGr
                      schedule: Schedule) -> Projector:
     """Certify the product of an event's factors as one projector, labelled
     with the event token; a ``psiK`` factor projects onto psi0 evolved to tK."""
-    # imported at call time: perfbench/tracing.py wraps dynamics.propagator
-    from .dynamics import propagator
-
     mat = None
     for f in spec:
         if f.kind == "identity":
             m = identity(2 ** spins)
         elif f.kind == "psi":
-            v = propagator(schedule, grid.times[0], grid.time_at(f.time_index)) @ psi0
+            v = evolved_state(schedule, grid, psi0, f.time_index)
             m = np.outer(v, v.conj())
         else:
             b = basis_for(f.direction)
@@ -687,7 +679,7 @@ def _event_projector(spec: EventSpec, spins: int, psi0: np.ndarray, grid: TimeGr
 
 def build_scenario(doc: ScenarioDoc) -> BuiltScenario:
     """Resolve a parsed document into state, schedule and Family objects; each
-    distinct (time, event token) is certified once and its Event shared."""
+    event spec object is certified once at each time and its Event shared."""
     dim = 2 ** doc.spins
     psi0 = _state_vector(doc.state, doc.spins)
     grid = TimeGrid(doc.times)
@@ -701,10 +693,9 @@ def build_scenario(doc: ScenarioDoc) -> BuiltScenario:
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 
-    certified: dict[tuple[int, str], Event] = {}
     # (time, id of a spec object) -> its Event, so a spec that the parser
-    # shares between histories is rendered once; ``doc`` keeps every spec
-    # alive while this runs, so no id is reused
+    # shares between histories is rendered and certified once; ``doc`` keeps
+    # every spec alive while this runs, so no id is reused
     by_spec: dict[tuple[int, int], Event] = {}
     families = []
     for fam in doc.families:
@@ -714,12 +705,8 @@ def build_scenario(doc: ScenarioDoc) -> BuiltScenario:
             for position, spec in enumerate(row, start=1):
                 ev = by_spec.get((position, id(spec)))
                 if ev is None:
-                    label = render_event(spec)
-                    ev = certified.get((position, label))
-                    if ev is None:
-                        proj = _event_projector(spec, doc.spins, psi0, grid, schedule)
-                        ev = certified[position, label] = Event(position, proj, label)
-                    by_spec[position, id(spec)] = ev
+                    proj = _event_projector(spec, doc.spins, psi0, grid, schedule)
+                    ev = by_spec[position, id(spec)] = Event(position, proj, proj.label)
                 events.append(ev)
             histories.append(History(tuple(events)))
         try:

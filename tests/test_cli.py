@@ -61,6 +61,16 @@ def test_check_missing_file_exits_2():
     assert "cannot read" in result.stderr
 
 
+def test_check_file_that_is_not_utf8_exits_2(tmp_path):
+    path = tmp_path / "utf16.scenario"
+    path.write_bytes("[scenario]\n".encode("utf-16"))  # starts with b"\xff\xfe"
+    result = qhist("check", str(path))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: cannot read {path}: ")
+    assert "Traceback" not in result.stderr
+
+
 def test_tol_flag_overrides_consistency_threshold(tmp_path):
     path = write_scenario(tmp_path, "eq23")
     result = qhist("check", str(path), "--tol", "0.5")
@@ -228,6 +238,18 @@ def test_query_meaningful_in_x_framework(tmp_path):
     assert payload["probability"] == 0.5
 
 
+@pytest.mark.parametrize("token, message", [
+    ("z1+*z1+", "token 'z1+*z1+' uses one subsystem twice"),
+    ("w(1,2,3)1+", "direction needs 'w(theta,phi)' with two angles"),
+])
+def test_query_token_error_names_no_line(tmp_path, token, message):
+    # the token comes from the command line, which has no line to point at
+    path = write_scenario(tmp_path, "cat-analogue")
+    result = qhist("query", str(path), "x-frame", token)
+    assert result.returncode == 2
+    assert result.stderr == f"error: {message}\n"
+
+
 def test_query_machine_meaningless_payload(tmp_path):
     path = write_scenario(tmp_path, "cat-analogue")
     machine = qhist("query", str(path), "z-frame", "x1+", "--format", "machine")
@@ -263,6 +285,15 @@ def test_chsh_angle_past_180_degrees_keeps_its_output():
         "CHSH S = 0  |S| = 0\n"
         "deterministic local bound = 2, quantum maximum = 2.82842712475\n"
     )
+
+
+@pytest.mark.parametrize("angles", [("nan", "0", "0", "0"), ("--", "0", "0", "0", "-inf")])
+def test_chsh_non_finite_angle_exits_2(angles):
+    result = qhist("chsh", *angles)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "error: argument DEG: must be finite" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_chsh_wrong_angle_count_exits_2():

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 
@@ -240,6 +241,18 @@ def test_history_probability_rejects_foreign_history():
         history_probability(other, fam)
 
 
+def test_history_index_matches_label_sequences():
+    fam = eq23_family()
+    for i, h in enumerate(fam.histories):
+        assert fam.history_index(History(tuple(h.events))) == i
+    for foreign in (
+        History((event(1, ZP_PROJ, "nope"), event(2, ZP_PROJ, "z2+"))),
+        History((event(1, XP_PROJ, "x1+"),)),
+    ):
+        with pytest.raises(ValueError, match="not part"):
+            fam.history_index(foreign)
+
+
 def test_unitary_family_free_spin():
     fam = unitary_family(oracles.ZP, GRID3, FREE2)
     (hist,) = fam.histories
@@ -381,6 +394,19 @@ def test_nan_chain_kets_fail_closed(monkeypatch):
     assert not report.exhaustive
     assert [(i, j) for i, j, _ in report.violating_pairs] == list(
         itertools.combinations(range(1, 5), 2))
+
+
+def test_check_consistency_leaves_no_reference_cycle():
+    # garbage in a cycle waits for the cyclic collector, so a loop of checks
+    # would hold on to every walk's kets between collections
+    family = build_scenario(builtin_scenario("eq28-sixteen")).families[0][1]
+    gc.collect()
+    gc.disable()
+    try:
+        check_consistency(family)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_family_validation_errors():

@@ -10,6 +10,7 @@ from qhist.histories import check_consistency
 from qhist.linalg import states_equal_up_to_phase
 from qhist.report import (
     render_report_machine,
+    render_report_text,
     report_from_dict,
     report_to_dict,
     run_scenario,
@@ -85,6 +86,36 @@ def test_direction_token_out_of_range_is_canonicalized():
     assert direction.theta == pytest.approx(7.0 - 2 * math.pi, abs=1e-15)
     assert direction.phi == 0.0
     assert parse_scenario(render_scenario(doc)) == doc
+
+
+def test_two_spellings_of_one_event_give_the_canonical_report():
+    canonical = """\
+[scenario]
+name = spellings
+[system]
+spins = 1
+[state]
+named = z+
+[grid]
+times = 0.0 1.0 2.0
+[schedule]
+segment = 0.0 2.0 y 0.9
+[family f]
+history = w(0.7168146928204138,0.0)1+ z2+
+history = w(0.7168146928204138,0.0)1+ z2-
+history = w(0.7168146928204138,0.0)1- z2+
+history = w(0.7168146928204138,0.0)1- z2-
+"""
+    mixed = canonical.replace("history = w(0.7168146928204138,0.0)1+ z2+",
+                              "history = w(7.0,0.0)1+ z2+")
+    assert mixed != canonical
+    family = build_scenario(parse_scenario(mixed)).family("f")
+    first, second = (h.events[0] for h in family.histories[:2])
+    assert first.label == second.label
+    reports = [run_scenario(parse_scenario(text)) for text in (mixed, canonical)]
+    assert not reports[0].all_consistent and reports[0].families[0].violating_pairs
+    assert render_report_machine(reports[0]) == render_report_machine(reports[1])
+    assert render_report_text(reports[0]) == render_report_text(reports[1])
 
 
 def reference_split(text: str) -> list[tuple[str, int]]:
