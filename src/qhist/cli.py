@@ -174,10 +174,29 @@ def _tolerance(text: str) -> float:
 
 
 def _angle(text: str) -> float:
+    text = text.strip()  # see _numbers_as_values
     angle = _number(text)
     if not math.isfinite(angle):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return angle
+
+
+def _numbers_as_values(argv: list[str]) -> list[str]:
+    """argparse reads an argument that starts with "-" as an option unless it
+    is a plain negative number, so "-inf" or "-1e5" would be unknown options.
+    After the chsh verb every such number gets a leading space: argparse
+    then reads it as a value, and float() ignores the space."""
+    if argv[:1] != ["chsh"]:
+        return argv
+    return ["chsh"] + [" " + a if a.startswith("-") and _is_number(a) else a for a in argv[1:]]
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_numbers_as_values(sys.argv[1:] if argv is None else argv))
     if getattr(args, "command", None) == "chsh" and len(args.angles) not in (0, 4):
         parser.error("chsh takes no angles or exactly four")
     try:

@@ -100,7 +100,7 @@ def query(f: Family, p: Proposition, tol: float = EPS_CONS) -> QueryResult:
 
     total = sum(
         prob
-        for h, prob in zip(f.histories, report.probabilities)
+        for h, prob in zip(f.histories, report.probabilities.tolist())
         if h.events[p.time_index - 1].label in absorbed
     )
     return QueryResult(float(total))

@@ -178,20 +178,90 @@ class Family:
         return i
 
 
-@dataclass(frozen=True)
+class Columns:
+    """A read-only sequence whose rows are kept as columns, one attribute per
+    name in ``__slots__``. ``len()`` reads the first column, and a row is made
+    from the columns only when it is read, so a verdict of 10^5 pairs costs
+    no object per pair until a caller iterates it.
+
+    It equals another instance of its class with equal columns (arrays
+    compared element by element), and a tuple or list with equal rows. Its
+    repr is that of the tuple of its rows. It is not hashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __len__(self) -> int:
+        return len(getattr(self, self.__slots__[0]))
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return type(self)(*(getattr(self, name)[k] for name in self.__slots__))
+        k = range(len(self))[k]
+        return next(iter(self[k:k + 1]))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is type(self):
+            return all(
+                a == b if isinstance(a, list) else np.array_equal(a, b)
+                for a, b in ((getattr(self, n), getattr(other, n)) for n in self.__slots__)
+            )
+        if isinstance(other, (tuple, list)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+class OverlapPairs(Columns):
+    """Interfering pairs of histories as three arrays: the 1-based indices
+    ``i`` < ``j``, sorted, and the complex ``overlaps`` D[i - 1, j - 1]. It
+    reads as the sequence of (i, j, overlap) tuples of ints and complex
+    numbers."""
+
+    __slots__ = ("i", "j", "overlaps")
+
+    def __init__(self, i: np.ndarray, j: np.ndarray, overlaps: np.ndarray):
+        self.i, self.j, self.overlaps = i, j, overlaps
+
+    def __iter__(self):
+        return zip(self.i.tolist(), self.j.tolist(), self.overlaps.tolist())
+
+
+@dataclass(frozen=True, eq=False)
 class ConsistencyReport:
     """Verdict of the consistency check.
 
     ``violating_pairs`` lists (i, j, overlap) with 1-based history indices,
-    i < j, sorted. ``probabilities`` holds the diagonal chain-ket norms for
-    every history (diagnostic even when the verdict is negative; only a
-    consistent family may interpret them as probabilities)."""
+    i < j, sorted; it keeps them as arrays (see :class:`OverlapPairs`).
+    ``probabilities`` is the read-only float array of the diagonal chain-ket
+    norms for every history (diagnostic even when the verdict is negative;
+    only a consistent family may interpret them as probabilities).
+
+    Two reports are equal when their flags, pairs, probabilities and sum
+    are, numbers compared as floats. A report is not hashable."""
 
     consistent: bool
     exhaustive: bool
-    violating_pairs: tuple[tuple[int, int, complex], ...]
-    probabilities: tuple[float, ...]
+    violating_pairs: OverlapPairs
+    probabilities: np.ndarray
     probability_sum: float
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ConsistencyReport):
+            return NotImplemented
+        return (
+            (self.consistent, self.exhaustive, self.probability_sum)
+            == (other.consistent, other.exhaustive, other.probability_sum)
+            and self.violating_pairs == other.violating_pairs
+            and np.array_equal(self.probabilities, other.probabilities)
+        )
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _norm(v: np.ndarray) -> float:
@@ -256,12 +326,10 @@ def check_consistency(f: Family, tol: float = EPS_CONS) -> ConsistencyReport:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     kets, exhaustive = _chain_kets(f, tol)
     overlaps = kets.conj() @ kets.T  # D = K^dag K
-    probabilities = tuple(overlaps.diagonal().real.tolist())
-    rows, cols = np.argwhere(np.triu(~(np.abs(overlaps) <= tol), 1)).T  # NaN violates
-    violating = tuple(
-        zip((rows + 1).tolist(), (cols + 1).tolist(), overlaps[rows, cols].tolist())
-    )
-    probability_sum = float(sum(probabilities))
+    probabilities = _read_only(overlaps.diagonal().real.copy())
+    rows, cols = np.nonzero(np.triu(~(np.abs(overlaps) <= tol), 1))  # NaN violates
+    violating = OverlapPairs(*map(_read_only, (rows + 1, cols + 1, overlaps[rows, cols])))
+    probability_sum = float(sum(probabilities.tolist()))
     # for exhaustive + orthogonal families the weights sum to <psi0|psi0>;
     # the explicit conjunct keeps the report's invariant airtight at loose tol
     consistent = exhaustive and not violating and abs(probability_sum - 1.0) <= max(tol, EPS_CONS)
@@ -282,7 +350,7 @@ def history_probability(h: History, f: Family, tol: float = EPS_CONS) -> float:
         raise QueryOnInconsistentFamily(
             "probabilities of an inconsistent family are meaningless"
         )
-    return report.probabilities[idx]
+    return float(report.probabilities[idx])
 
 
 def unitary_family(psi0, grid: TimeGrid, schedule: Schedule) -> Family:

@@ -13,25 +13,28 @@ magnitudes below 1e-12 snapped to zero), so rendering is deterministic and
 Probabilities are listed only for families that pass the consistency check;
 for the rest they would carry no meaning.
 
-Both renderers write their text straight from the report, one format
-template per violating pair, so a report of 10^5 pairs costs no tree of
-dicts and no pass of :mod:`json`'s pure-Python indenting encoder; the
-machine form stays byte for byte ``json.dumps(report_to_dict(r), indent=2)``
-plus a newline. A report from :func:`run_scenario` also carries the 12-digit
-text it rounded every number through, which the machine form prints in
-:mod:`json`'s spelling (see :func:`_json_numbers`) instead of formatting each
-float again; any other report is written from its floats.
+A :class:`FamilyResult` keeps its numbers once, as columns: the pair
+indices as int arrays and every number as the text the machine form prints
+for it, json's spelling of the rounded float (see :func:`_json_texts`).
+Floats are made only when a caller reads ``violating_pairs`` or
+``probabilities``.
+
+Both writers read the columns and make no tuple per pair. The machine
+writer joins the kept texts with the fixed pieces of the layout in one pass,
+so a report of 10^5 pairs costs no tree of dicts, no pass of :mod:`json`'s
+pure-Python indenting encoder and no number formatted twice; its output
+stays byte for byte ``json.dumps(report_to_dict(r), indent=2)`` plus a
+newline. The text writer fills one ``%.12g`` template per pair.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
 
 import numpy as np
 
-from .histories import check_consistency
+from .histories import Columns, check_consistency
 from .linalg import EPS_CONS
 from .scenario import BuiltScenario, ScenarioDoc, build_scenario
 
@@ -47,24 +50,96 @@ def round12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _round12_all(values) -> str:
-    """The "%.12g" text of round12 of every value, each followed by a space
-    (NaN and infinities pass through); float() of a text is that value."""
+def _json_texts(values) -> list[str]:
+    """``json.dumps(round12(x))`` for every value, from one "%.12g" pass.
+
+    Twelve digits survive the round trip through a float, so json's repr of
+    a rounded value has its "%.12g" digits; only the layout can differ. It
+    does for integral values (repr adds ".0"), for 1e12 <= |x| < 1e16 (repr
+    is positional there) and for NaN and the infinities (json's own
+    spellings). A value below 1e11 in magnitude and more than 1e-11 of its
+    magnitude away from every integer rounds to none of these, so only the
+    other values are looked at again: a text with a "." and no "e+1"
+    exponent is json's already, and any other goes through json.dumps."""
     a = np.asarray(values, dtype=float)
     a = np.where(np.abs(a) < _ZERO_BELOW, 0.0, a)  # also turns -0.0 into +0.0
-    return "%.12g " * a.size % tuple(a.tolist())
+    texts = ("%.12g " * a.size % tuple(a.tolist())).split()
+    with np.errstate(invalid="ignore"):  # inf - inf
+        plain = (np.abs(a - np.round(a)) > 1e-11 * np.abs(a)) & (np.abs(a) < 1e11)
+    for k in np.flatnonzero(~plain).tolist():
+        t = texts[k]
+        if "." not in t or "e+1" in t:
+            texts[k] = json.dumps(float(t))
+    return texts
+
+
+def _dumps_all(values) -> list[str]:
+    return [json.dumps(float(x)) for x in values]
+
+
+class ReportedPairs(Columns):
+    """A report's violating pairs: 1-based int arrays ``i`` and ``j``, and
+    the lists ``re`` and ``im`` of the texts the machine form prints for the
+    overlaps' parts. It reads as the sequence of (i, j, re, im) tuples of
+    ints and floats; the floats are parsed from the texts when read."""
+
+    __slots__ = ("i", "j", "re", "im")
+
+    def __init__(self, i: np.ndarray, j: np.ndarray, re: list[str], im: list[str]):
+        self.i, self.j, self.re, self.im = i, j, re, im
+
+    def __iter__(self):
+        return zip(self.i.tolist(), self.j.tolist(), map(float, self.re), map(float, self.im))
+
+    @classmethod
+    def from_rows(cls, rows) -> ReportedPairs:
+        """From (i, j, re, im) rows; each number is kept as json.dumps(float(x))."""
+        rows = list(rows)
+        i, j, re, im = zip(*rows) if rows else ((),) * 4
+        return cls(np.array(i, dtype=np.int64), np.array(j, dtype=np.int64),
+                   _dumps_all(re), _dumps_all(im))
+
+
+class ReportedNumbers(Columns):
+    """A report's probabilities: the list ``texts`` of what the machine form
+    prints for each. It reads as the sequence of floats parsed from them."""
+
+    __slots__ = ("texts",)
+
+    def __init__(self, texts: list[str]):
+        self.texts = texts
+
+    def __iter__(self):
+        return map(float, self.texts)
 
 
 @dataclass(frozen=True)
 class FamilyResult:
+    """One family's verdict as reported.
+
+    ``violating_pairs`` and ``probabilities`` are :class:`ReportedPairs` and
+    :class:`ReportedNumbers`. The constructor (and so ``dataclasses.replace``)
+    also takes any sequence of (i, j, re, im) rows and any sequence of
+    numbers, and keeps each number as ``json.dumps(float(x))``, the text the
+    machine form then prints.
+
+    Two results are equal when the machine form would print them alike:
+    equal names, flags and pair indices, and equal texts for every number.
+    So NaN equals NaN, and -0.0 differs from 0.0. The repr is the
+    constructor call with the pairs and probabilities as tuples. A result
+    is not hashable."""
+
     name: str
     consistent: bool
     exhaustive: bool
-    violating_pairs: tuple[tuple[int, int, float, float], ...]
-    probabilities: tuple[float, ...]
-    # set by run_scenario: the _round12_all text of every pair's re, then
-    # every pair's im, then every probability
-    _texts: str | None = field(default=None, init=False, compare=False, repr=False)
+    violating_pairs: ReportedPairs
+    probabilities: ReportedNumbers
+
+    def __post_init__(self):
+        if not isinstance(self.violating_pairs, ReportedPairs):
+            object.__setattr__(self, "violating_pairs", ReportedPairs.from_rows(self.violating_pairs))
+        if not isinstance(self.probabilities, ReportedNumbers):
+            object.__setattr__(self, "probabilities", ReportedNumbers(_dumps_all(self.probabilities)))
 
 
 @dataclass(frozen=True)
@@ -83,21 +158,15 @@ def run_scenario(doc: ScenarioDoc | BuiltScenario, tol: float = EPS_CONS) -> Rep
     results = []
     for name, family in built.families:
         verdict = check_consistency(family, tol)
-        n = len(verdict.violating_pairs)
-        i, j, overlaps = zip(*verdict.violating_pairs) if n else ((), (), ())
-        overlaps = np.array(overlaps, dtype=complex)
+        pairs = verdict.violating_pairs
+        n = len(pairs)
         probs = verdict.probabilities if verdict.consistent else ()
-        texts = _round12_all(np.concatenate((overlaps.real, overlaps.imag, probs)))
-        rounded = list(map(float, texts.split()))
-        result = FamilyResult(
-            name=name,
-            consistent=verdict.consistent,
-            exhaustive=verdict.exhaustive,
-            violating_pairs=tuple(zip(i, j, rounded[:n], rounded[n:2 * n])),
-            probabilities=tuple(rounded[2 * n:]),
-        )
-        object.__setattr__(result, "_texts", texts)
-        results.append(result)
+        texts = _json_texts(np.concatenate((pairs.overlaps.real, pairs.overlaps.imag, probs)))
+        results.append(FamilyResult(
+            name, verdict.consistent, verdict.exhaustive,
+            ReportedPairs(pairs.i, pairs.j, texts[:n], texts[n:2 * n]),
+            ReportedNumbers(texts[2 * n:]),
+        ))
     return Report(built.doc.name, tuple(results))
 
 
@@ -137,68 +206,56 @@ def report_from_dict(data: dict) -> Report:
     return Report(data["scenario"], families)
 
 
-# Pieces of the indent=2 layout; every %s takes an int or json's text of a
-# value (see _json_numbers). A family is written as _FAMILY_HEAD, its pairs
-# array, _FAMILY_MID, its probabilities array and _FAMILY_TAIL, and the
-# document is joined from such pieces once, so the text of a large pairs
-# array is copied into the report once.
-_PAIR_JSON = ('{\n          "i": %s,\n          "j": %s,\n'
-              '          "re": %s,\n          "im": %s\n        }')
+# Pieces of the indent=2 layout. A family is written as _FAMILY_HEAD, its
+# pairs array, _FAMILY_MID, its probabilities array and _FAMILY_TAIL. A pair
+# is written as its lead (_PAIR_FIRST for the first pair, _PAIR_NEXT for the
+# others), i, _PAIR_J, j, _PAIR_RE, re, _PAIR_IM and im, and the array ends
+# with _PAIRS_END. The document is joined from these pieces and the
+# columns' texts once, so the text of a large pairs array is copied once.
 _FAMILY_HEAD = ('{\n      "name": %s,\n      "consistent": %s,\n'
                 '      "exhaustive": %s,\n      "violating_pairs": ')
 _FAMILY_MID = ',\n      "probabilities": '
 _FAMILY_TAIL = '\n    }'
+_PAIR_FIRST = '[\n        {\n          "i": '
+_PAIR_NEXT = '\n        },\n        {\n          "i": '
+_PAIR_J = ',\n          "j": '
+_PAIR_RE = ',\n          "re": '
+_PAIR_IM = ',\n          "im": '
+_PAIRS_END = '\n        }\n      ]'
 
 
-def _json_numbers(texts: list[str]) -> list[str]:
-    """For each "%.12g" text t, what json.dumps prints for float(t).
-
-    Twelve digits survive the round trip through a float, so json's repr
-    has t's digits; only the layout can differ. It does for integral values
-    (repr adds ".0"), for 1e12 <= |x| < 1e16 (repr is positional there) and
-    for NaN and the infinities (json's own spellings). A text with a "." and
-    no "e+1" exponent is none of these, and is already what json prints; any
-    other text is handed to json.dumps."""
-    return [t if "." in t and "e+1" not in t else json.dumps(float(t)) for t in texts]
+def _interleave(*columns) -> list:
+    """The columns' elements row by row, as one flat list: no tuple per row.
+    The first column must be a list; the others may be any iterables of its
+    length."""
+    flat = [None] * (len(columns) * len(columns[0]))
+    for k, column in enumerate(columns):
+        flat[k::len(columns)] = column
+    return flat
 
 
-def _columns(f: FamilyResult) -> tuple:
-    """Every pair's re, then every pair's im, then every probability: the
-    order in which run_scenario rounds them (and keeps their texts)."""
-    pairs = f.violating_pairs
-    return (*(p[2] for p in pairs), *(p[3] for p in pairs), *f.probabilities)
-
-
-def _pair_values(pairs, re, im) -> tuple:
-    """i, j, re, im of every pair in turn, with re and im from the columns given."""
-    return tuple(chain.from_iterable(zip([p[0] for p in pairs], [p[1] for p in pairs], re, im)))
-
-
-def _json_array(template: str, values: tuple, n: int, depth: int) -> list[str]:
-    """A JSON array of n elements, each ``template`` filled from ``values`` in
-    turn, laid out the way json.dumps(indent=2) lays out an array that sits
-    at nesting ``depth``; returned as pieces for the caller to join."""
-    if not n:
-        return ["[]"]
-    inner = "\n" + "  " * (depth + 1)
-    return [f"[{inner}", f",{inner}".join([template] * n) % values, "\n" + "  " * depth + "]"]
+def _int_texts(values: np.ndarray) -> list[str]:
+    """str() of every value; each distinct value is converted once."""
+    distinct, where = np.unique(values, return_inverse=True)
+    return np.array(list(map(str, distinct.tolist())), dtype=object)[where].tolist()
 
 
 def _family_json(f: FamilyResult) -> list[str]:
-    n = len(f.violating_pairs)
-    if f._texts is None:
-        numbers = [json.dumps(v) for v in _columns(f)]
+    pairs, probs = f.violating_pairs, f.probabilities.texts
+    pieces = [_FAMILY_HEAD % (json.dumps(f.name), json.dumps(f.consistent), json.dumps(f.exhaustive))]
+    n = len(pairs)
+    if n:
+        ij = _int_texts(np.concatenate((pairs.i, pairs.j)))
+        pieces += _interleave([_PAIR_NEXT] * n, ij[:n], [_PAIR_J] * n, ij[n:],
+                              [_PAIR_RE] * n, pairs.re, [_PAIR_IM] * n, pairs.im)
+        pieces[1] = _PAIR_FIRST
+        pieces.append(_PAIRS_END)
     else:
-        numbers = _json_numbers(f._texts.split())
-    probs = tuple(numbers[2 * n:])
-    return [
-        _FAMILY_HEAD % (json.dumps(f.name), json.dumps(f.consistent), json.dumps(f.exhaustive)),
-        *_json_array(_PAIR_JSON, _pair_values(f.violating_pairs, numbers[:n], numbers[n:2 * n]),
-                     n, 3),
-        _FAMILY_MID,
-        *_json_array("%s", probs, len(probs), 3),
-        _FAMILY_TAIL,
-    ]
+        pieces.append("[]")
+    pieces.append(_FAMILY_MID)
+    pieces.append("[\n        " + ",\n        ".join(probs) + "\n      ]" if probs else "[]")
+    pieces.append(_FAMILY_TAIL)
+    return pieces
 
 
 def render_report_machine(report: Report) -> str:
@@ -221,12 +278,14 @@ def render_report_text(report: Report) -> str:
         verdict = "consistent" if f.consistent else "inconsistent"
         lines.append(f"family {f.name}: {verdict} (exhaustive: {'yes' if f.exhaustive else 'no'})")
         if f.consistent:
-            probs = ", ".join(["%.12g"] * len(f.probabilities)) % tuple(f.probabilities)
-            lines.append(f"  probabilities: {probs}")
-            lines.append(f"  probability sum: {sum(f.probabilities):.12g}")
+            probs = tuple(f.probabilities)
+            lines.append("  probabilities: " + ", ".join(["%.12g"] * len(probs)) % probs)
+            lines.append(f"  probability sum: {sum(probs):.12g}")
         else:
-            lines.append(f"  violating pairs ({len(f.violating_pairs)}):")
-            if f.violating_pairs:
-                lines.append("\n".join([_PAIR_TEXT] * len(f.violating_pairs))
-                             % tuple(chain.from_iterable(f.violating_pairs)))
+            pairs = f.violating_pairs
+            lines.append(f"  violating pairs ({len(pairs)}):")
+            if pairs:
+                values = _interleave(pairs.i.tolist(), pairs.j.tolist(),
+                                     map(float, pairs.re), map(float, pairs.im))
+                lines.append("\n".join([_PAIR_TEXT] * len(pairs)) % tuple(values))
     return "\n".join(lines) + "\n"

@@ -108,8 +108,19 @@ EventSpec = tuple[EventFactor, ...]
 
 @dataclass(frozen=True)
 class FamilySpec:
+    """A named family of histories, each a tuple of event specs. ``labels``
+    holds every history's event labels; each distinct spec object is
+    rendered once, when the FamilySpec is made."""
+
     name: str
     histories: tuple[tuple[EventSpec, ...], ...]
+    labels: tuple[tuple[str, ...], ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        specs = {id(spec): spec for row in self.histories for spec in row}
+        text = {key: render_event(spec) for key, spec in specs.items()}
+        object.__setattr__(self, "labels", tuple(
+            tuple(text[id(spec)] for spec in row) for row in self.histories))
 
 
 @dataclass(frozen=True)
@@ -409,8 +420,8 @@ def _assemble(sections) -> ScenarioDoc:
     if not families:
         raise ParseError("scenario needs at least one [family <name>] section", 1,
                          expected=("[family <name>]",))
-    # per event time: each token seen there -> (its positioned spec, its label)
-    events: list[dict[str, tuple[EventSpec, str]]] = [{} for _ in range(n_events)]
+    # per event time: each token seen there -> its positioned spec
+    events: list[dict[str, EventSpec]] = [{} for _ in range(n_events)]
     parsed_families = []
     seen_names = set()
     for fam_name, fam_ln, entries in families:
@@ -419,21 +430,23 @@ def _assemble(sections) -> ScenarioDoc:
         if fam_name in seen_names:
             raise ValidationError(f"duplicate family name {fam_name!r}", fam_ln)
         seen_names.add(fam_name)
-        histories = []
-        seen_rows = set()
+        histories, lines = [], []
         for key, value, ln, col in entries:
             if key != "history":
                 raise ParseError(f"unknown key {key!r} in [family {fam_name}]", ln,
                                  expected=("history",))
-            row, labels = _parse_history_line(value, spins, n_events, ln, col, events)
-            if labels in seen_rows:
-                raise ValidationError(f"duplicate history {' '.join(labels)!r}", ln)
-            seen_rows.add(labels)
-            histories.append(row)
+            histories.append(_parse_history_line(value, spins, n_events, ln, col, events))
+            lines.append(ln)
         if not histories:
             raise ParseError(f"family {fam_name!r} has no histories", fam_ln,
                              expected=("history = ...",))
-        parsed_families.append(FamilySpec(fam_name, tuple(histories)))
+        fam = FamilySpec(fam_name, tuple(histories))
+        seen_rows = set()
+        for labels, ln in zip(fam.labels, lines):
+            if labels in seen_rows:
+                raise ValidationError(f"duplicate history {' '.join(labels)!r}", ln)
+            seen_rows.add(labels)
+        parsed_families.append(fam)
 
     return ScenarioDoc(name=name, spins=spins, state=state, times=times,
                        segments=segments, families=tuple(parsed_families))
@@ -546,23 +559,22 @@ def _parse_schedule_section(section, spins: int) -> tuple[SegmentSpec, ...]:
 
 
 def _parse_history_line(value: str, spins: int, n_events: int, ln: int, base: int,
-                        events: list[dict[str, tuple[EventSpec, str]]]):
-    """One history line as (event specs, labels). A token is parsed and
-    checked against its position only the first time it appears there;
-    ``events`` keeps the result for the rest of the document."""
+                        events: list[dict[str, EventSpec]]) -> tuple[EventSpec, ...]:
+    """One history line as its event specs. A token is parsed and checked
+    against its position only the first time it appears there; ``events``
+    keeps the result for the rest of the document."""
     toks = _split_tokens(value)
     if len(toks) != n_events:
         raise ValidationError(
             f"history has {len(toks)} events, grid has {n_events} event times", ln)
     row = []
     for position, (tok, col) in enumerate(toks, start=1):
-        known = events[position - 1].get(tok)
-        if known is None:
-            spec = _positioned_event(tok, position, spins, n_events, ln, base + col - 1)
-            known = events[position - 1][tok] = (spec, render_event(spec))
-        row.append(known)
-    specs, labels = zip(*row)
-    return specs, labels
+        spec = events[position - 1].get(tok)
+        if spec is None:
+            spec = events[position - 1][tok] = _positioned_event(
+                tok, position, spins, n_events, ln, base + col - 1)
+        row.append(spec)
+    return tuple(row)
 
 
 def _positioned_event(tok: str, position: int, spins: int, n_events: int, ln: int,
@@ -608,8 +620,8 @@ def render_scenario(doc: ScenarioDoc) -> str:
                 f"segment = {seg.t_start!r} {seg.t_end!r} {axis} {seg.omega!r}")
     for fam in doc.families:
         lines += ["", f"[family {fam.name}]"]
-        for row in fam.histories:
-            lines.append("history = " + " ".join(render_event(ev) for ev in row))
+        for labels in fam.labels:
+            lines.append("history = " + " ".join(labels))
     return "\n".join(lines) + "\n"
 
 
@@ -658,10 +670,10 @@ def _embed(matrix: np.ndarray, subsystem: str, spins: int) -> np.ndarray:
     return tensor(identity(2), matrix)
 
 
-def _event_projector(spec: EventSpec, spins: int, psi0: np.ndarray, grid: TimeGrid,
-                     schedule: Schedule) -> Projector:
-    """Certify the product of an event's factors as one projector, labelled
-    with the event token; a ``psiK`` factor projects onto psi0 evolved to tK."""
+def _event_projector(spec: EventSpec, label: str, spins: int, psi0: np.ndarray,
+                     grid: TimeGrid, schedule: Schedule) -> Projector:
+    """Certify the product of an event's factors as one projector with the
+    given label; a ``psiK`` factor projects onto psi0 evolved to tK."""
     mat = None
     for f in spec:
         if f.kind == "identity":
@@ -674,7 +686,7 @@ def _event_projector(spec: EventSpec, spins: int, psi0: np.ndarray, grid: TimeGr
             vec = b.plus if f.sign > 0 else b.minus
             m = _embed(np.outer(vec, vec.conj()), f.subsystem, spins)
         mat = m if mat is None else mat @ m
-    return as_projector(mat, render_event(spec))
+    return as_projector(mat, label)
 
 
 def build_scenario(doc: ScenarioDoc) -> BuiltScenario:
@@ -694,19 +706,19 @@ def build_scenario(doc: ScenarioDoc) -> BuiltScenario:
         raise ValidationError(str(exc)) from exc
 
     # (time, id of a spec object) -> its Event, so a spec that the parser
-    # shares between histories is rendered and certified once; ``doc`` keeps
-    # every spec alive while this runs, so no id is reused
+    # shares between histories is certified once; ``doc`` keeps every spec
+    # alive while this runs, so no id is reused
     by_spec: dict[tuple[int, int], Event] = {}
     families = []
     for fam in doc.families:
         histories = []
-        for row in fam.histories:
+        for row, labels in zip(fam.histories, fam.labels):
             events = []
-            for position, spec in enumerate(row, start=1):
+            for position, (spec, label) in enumerate(zip(row, labels), start=1):
                 ev = by_spec.get((position, id(spec)))
                 if ev is None:
-                    proj = _event_projector(spec, doc.spins, psi0, grid, schedule)
-                    ev = by_spec[position, id(spec)] = Event(position, proj, proj.label)
+                    proj = _event_projector(spec, label, doc.spins, psi0, grid, schedule)
+                    ev = by_spec[position, id(spec)] = Event(position, proj, label)
                 events.append(ev)
             histories.append(History(tuple(events)))
         try:
@@ -731,8 +743,8 @@ def proposition_projector(built: BuiltScenario, token: str):
     if not 1 <= time_index <= n:
         raise ValidationError(
             f"event {token!r} carries time index {time_index}, grid has event times 1..{n}")
-    return _event_projector(spec, built.doc.spins, built.initial_state, built.grid,
-                            built.schedule), time_index
+    return _event_projector(spec, render_event(spec), built.doc.spins, built.initial_state,
+                            built.grid, built.schedule), time_index
 
 
 # ---------------------------------------------------------------------------

@@ -43,18 +43,23 @@ def ladder_text(rng: random.Random, n: int) -> str:
     ]) + "\n"
 
 
-def digests() -> dict[str, dict[str, str]]:
-    """{"seed <s> tol <tol>": {"machine": sha256, "text": sha256}} for every case."""
-    out = {}
+def reports():
+    """("seed <s> tol <tol>", report) for every case."""
     for seed in SEEDS:
         doc = parse_scenario(ladder_text(random.Random(seed), 2 + seed % 7))
         for tol in TOLS:
-            report = run_scenario(doc, tol)
-            out[f"seed {seed} tol {tol!r}"] = {
-                "machine": hashlib.sha256(render_report_machine(report).encode()).hexdigest(),
-                "text": hashlib.sha256(render_report_text(report).encode()).hexdigest(),
-            }
-    return out
+            yield f"seed {seed} tol {tol!r}", run_scenario(doc, tol)
+
+
+def digests() -> dict[str, dict[str, str]]:
+    """{"seed <s> tol <tol>": {"machine": sha256, "text": sha256}} for every case."""
+    return {
+        case: {
+            "machine": hashlib.sha256(render_report_machine(report).encode()).hexdigest(),
+            "text": hashlib.sha256(render_report_text(report).encode()).hexdigest(),
+        }
+        for case, report in reports()
+    }
 
 
 if __name__ == "__main__":

@@ -287,13 +287,20 @@ def test_chsh_angle_past_180_degrees_keeps_its_output():
     )
 
 
-@pytest.mark.parametrize("angles", [("nan", "0", "0", "0"), ("--", "0", "0", "0", "-inf")])
+@pytest.mark.parametrize("angles", [("nan", "0", "0", "0"), ("--", "0", "0", "0", "-inf"),
+                                    ("0", "0", "0", "-inf"), ("-nan", "0", "0", "0")])
 def test_chsh_non_finite_angle_exits_2(angles):
     result = qhist("chsh", *angles)
     assert result.returncode == 2
     assert result.stdout == ""
     assert "error: argument DEG: must be finite" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_chsh_negative_angles_are_values():
+    result = qhist("chsh", "-5", "0", "45", "-1e1", "--format", "machine")
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["angles_deg"] == [-5.0, 0.0, 45.0, -10.0]
 
 
 def test_chsh_wrong_angle_count_exits_2():
@@ -330,8 +337,6 @@ def test_console_entry_point_matches_module():
     "script, args, line",
     [
         ("framework_demo.py", (), "in the x-framework: Prob(x+) = 0.5\n"),
-        ("chsh_scan.py", ("--steps", "8"),
-         "best |S| = 2.82842712475 at a=0 a'=90 b=45 b'=135 (degrees)\n"),
     ],
 )
 def test_scripts_run(script, args, line):

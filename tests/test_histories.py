@@ -1,6 +1,8 @@
 import gc
 import itertools
 import math
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from qhist.histories import (
 )
 from qhist.linalg import EPS_CONS, projector_onto
 from qhist.scenario import build_scenario, builtin_scenario
-from qhist.spin import Direction, X, Z, basis_for, singlet, spin_operator
+from qhist.spin import Direction, X, Z, basis_for, singlet, spin_operator, spin_projector
 
 GRID2 = TimeGrid((0.0, 1.0))
 GRID3 = TimeGrid((0.0, 1.0, 2.0))
@@ -457,3 +459,68 @@ def test_zero_probability_histories_are_harmless():
     fam = family_from_event_table(psi0, GRID3, FREE2, rows)
     assert check_consistency(fam, 1.5e-6).consistent
     assert not check_consistency(fam).exhaustive
+
+
+def test_consistency_report_keeps_its_pairs_as_columns():
+    report = check_consistency(eq23_family())
+    pairs = report.violating_pairs
+    rows = tuple(pairs)
+    assert (pairs.i.tolist(), pairs.j.tolist()) == ([1, 2], [3, 4])
+    assert rows == ((1, 3, complex(pairs.overlaps[0])), (2, 4, complex(pairs.overlaps[1])))
+    assert [tuple(map(type, row)) for row in rows] == [(int, int, complex)] * 2
+    assert (pairs[0], pairs[-1], len(pairs), bool(pairs)) == (rows[0], rows[1], 2, True)
+    assert type(pairs[1:]) is type(pairs) and pairs[1:] == rows[1:]
+    with pytest.raises(IndexError):
+        pairs[2]
+    assert report.probabilities.dtype == float
+    with pytest.raises(ValueError):
+        report.probabilities[0] = 1.0  # read-only, like the pair columns
+    with pytest.raises(ValueError):
+        pairs.overlaps[0] = 0.0
+    assert check_consistency(collapse_family(oracles.ZP, GRID3, FREE2, [oracles.XP, oracles.XM])
+                             ).violating_pairs == ()
+
+
+def test_consistency_report_equality_and_repr():
+    report = check_consistency(eq23_family())
+    assert check_consistency(eq23_family()) == report  # two checks, equal values
+    assert replace(report, consistent=True) != report
+    assert replace(report, probabilities=report.probabilities * 2) != report
+    fewer = replace(report, violating_pairs=report.violating_pairs[:1])
+    assert fewer != report and fewer.violating_pairs == tuple(report.violating_pairs)[:1]
+    assert repr(report.violating_pairs) == repr(tuple(report.violating_pairs))
+    assert f"violating_pairs={tuple(report.violating_pairs)!r}" in repr(report)
+    with pytest.raises(TypeError):
+        hash(report)
+
+
+def _random_direction(rng: random.Random) -> Direction:
+    return Direction(math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2.0 * math.pi))
+
+
+def test_consistent_families_have_at_most_d_heavy_histories():
+    # Chain kets live in C^d, so D has rank <= d. If m > d histories each
+    # weighed more than (N - 1) tol while every |D(a, b)| <= tol, their
+    # normalized Gram matrix would be strictly diagonally dominant, hence
+    # non-singular (Gershgorin): rank m > d. So a family called consistent
+    # has at most d histories heavier than (N - 1) tol. No oracle needed.
+    rng = random.Random(20261019)
+    tested = 0
+    for _ in range(600):
+        n = rng.randint(1, 4)
+        tol = 10.0 ** rng.uniform(-6.0, math.log10(0.5))
+        field = Segment(0.0, float(n), rng.uniform(0.0, 3.0) * spin_operator(_random_direction(rng)))
+        directions = [_random_direction(rng) for _ in range(n)]
+        analyzers = [{s: (f"a{k}{'+-'[s < 0]}", spin_projector(d, s)) for s in (1, -1)}
+                     for k, d in enumerate(directions, start=1)]
+        rows = [[analyzer[s] for analyzer, s in zip(analyzers, signs)]
+                for signs in itertools.product((1, -1), repeat=n)]
+        fam = family_from_event_table(basis_for(_random_direction(rng)).plus,
+                                      TimeGrid(tuple(map(float, range(n + 1)))),
+                                      Schedule(2, (field,)), rows)
+        report = check_consistency(fam, tol)
+        if report.consistent and len(rows) > fam.dim:  # with N <= d the bound holds trivially
+            tested += 1
+            heavy = np.count_nonzero(report.probabilities > (len(rows) - 1) * tol)
+            assert heavy <= fam.dim, (n, tol, report.probabilities)
+    assert tested >= 40  # 45 of the 600 draws

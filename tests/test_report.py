@@ -10,11 +10,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qhist.histories import OverlapPairs, check_consistency
 from qhist.report import (
     FamilyResult,
     Report,
-    _json_numbers,
-    _round12_all,
+    ReportedNumbers,
+    ReportedPairs,
+    _json_texts,
     render_report_machine,
     render_report_text,
     report_from_dict,
@@ -22,7 +24,7 @@ from qhist.report import (
     round12,
     run_scenario,
 )
-from qhist.scenario import parse_scenario
+from qhist.scenario import build_scenario, parse_scenario
 
 import ladder_golden
 from ladder_golden import ladder_text
@@ -101,10 +103,9 @@ def test_batch_rounding_equals_round12():
     rng = np.random.default_rng(7)
     randoms = (rng.uniform(-1, 1, 2000) * 10.0 ** rng.integers(-15, 20, 2000)).tolist()
     values = specials + randoms
-    texts = _round12_all(np.array(values)).split()
+    texts = _json_texts(np.array(values))
     assert [repr(float(t)) for t in texts] == [repr(round12(x)) for x in values]
-    assert texts == ["%.12g" % round12(x) for x in values]
-    assert _round12_all(np.array([])) == ""
+    assert _json_texts(np.array([])) == []
 
 
 def test_json_numbers_equal_json_dumps_of_the_rounded_floats():
@@ -116,10 +117,66 @@ def test_json_numbers_equal_json_dumps_of_the_rounded_floats():
     integers = (rng.integers(-10**6, 10**6, 2000) * 10.0 ** rng.integers(0, 18, 2000)).tolist()
     near_switch = (np.array([1e12, 1e16, 1e-4]).repeat(400)
                    * (1 + rng.uniform(-1e-11, 1e-11, 1200))).tolist()
-    values = edges + randoms + integers + near_switch
-    texts = _round12_all(np.array(values)).split()
-    assert _json_numbers(texts) == [json.dumps(round12(x)) for x in values]
-    assert _json_numbers([]) == []
+    values = edges + randoms + integers + near_switch + list(EDGE_FLOATS)
+    assert _json_texts(values) == [json.dumps(round12(x)) for x in values]
+
+
+def test_family_result_equality_repr_and_replace():
+    f = FamilyResult("f", False, True, ((1, 2, 0.5, -0.25), (1, 3, 1e-05, 2.0)), (1 / 3,))
+    assert f == FamilyResult("f", False, True, [[1, 2, 0.5, -0.25], [1, 3, 1e-05, 2]], [1 / 3])
+    assert (f.violating_pairs.re, f.violating_pairs.im) == (["0.5", "1e-05"], ["-0.25", "2.0"])
+    assert f.probabilities.texts == [json.dumps(1 / 3)]
+    assert f.violating_pairs == ((1, 2, 0.5, -0.25), (1, 3, 1e-05, 2.0))
+    assert [tuple(map(type, row)) for row in f.violating_pairs] == [(int, int, float, float)] * 2
+    assert f.violating_pairs[-1] == (1, 3, 1e-05, 2.0) and f.violating_pairs[:1] == f.violating_pairs[:-1]
+    assert f.probabilities == (1 / 3,) and sum(f.probabilities) == 1 / 3
+    assert repr(f) == ("FamilyResult(name='f', consistent=False, exhaustive=True, violating_pairs="
+                       "((1, 2, 0.5, -0.25), (1, 3, 1e-05, 2.0)), probabilities=(0.3333333333333333,))")
+    assert eval(repr(f)) == f
+    assert replace(f, consistent=True) != f
+    assert replace(f, consistent=True).violating_pairs is f.violating_pairs  # columns are shared
+    assert replace(f, probabilities=(0.25,)).probabilities == (0.25,)
+    # equal exactly when the machine form prints them alike
+    assert FamilyResult("n", True, True, (), (NAN,)) == FamilyResult("n", True, True, (), (NAN,))
+    assert FamilyResult("z", True, True, (), (-0.0,)) != FamilyResult("z", True, True, (), (0.0,))
+    assert FamilyResult("z", True, True, (), (-0.0,)).probabilities == (0.0,)  # floats compare
+    with pytest.raises(TypeError):
+        hash(f)
+
+
+def test_run_scenario_carries_the_verdict_columns():
+    doc = parse_scenario(ladder_text(random.Random(4), 4))
+    verdict = check_consistency(build_scenario(doc).families[0][1], 1e-3)
+    (f,) = run_scenario(doc, 1e-3).families
+    pairs = f.violating_pairs
+    assert len(pairs) == len(verdict.violating_pairs) > 0
+    assert np.array_equal(pairs.i, verdict.violating_pairs.i)
+    assert np.array_equal(pairs.j, verdict.violating_pairs.j)
+    overlaps = verdict.violating_pairs.overlaps
+    assert pairs.re + pairs.im == _json_texts(np.concatenate((overlaps.real, overlaps.imag)))
+
+
+def test_len_and_machine_writer_build_no_rows(monkeypatch):
+    doc = parse_scenario(ladder_text(random.Random(6), 6))
+    verdict = check_consistency(build_scenario(doc).families[0][1], 1e-3)
+    report = run_scenario(doc, 1e-3)
+    n, machine = len(tuple(verdict.violating_pairs)), render_report_machine(report)
+
+    def no_rows(*args):
+        raise AssertionError("a row was built")
+
+    for cls in (OverlapPairs, ReportedPairs, ReportedNumbers):
+        monkeypatch.setattr(cls, "__iter__", no_rows)
+        monkeypatch.setattr(cls, "__getitem__", no_rows)
+    assert len(verdict.violating_pairs) == len(report.families[0].violating_pairs) == n > 0
+    assert verdict.violating_pairs and not check_consistency(
+        build_scenario(doc).families[0][1], 1.0).violating_pairs
+    assert render_report_machine(report) == machine
+
+
+def test_machine_reports_of_seeded_ladders_read_back_equal():
+    for case, report in ladder_golden.reports():
+        assert report_from_dict(json.loads(render_report_machine(report))) == report, case
 
 
 def test_ladder_reports_match_their_digests():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from ladder_golden import ladder_text
+from qhist import scenario
 from qhist.histories import check_consistency
 from qhist.linalg import states_equal_up_to_phase
 from qhist.report import (
@@ -188,6 +191,18 @@ history = z2+   x1+
     with pytest.raises(ValidationError, match="time index 2 but sits at position 1") as err:
         parse_scenario(text)
     assert (err.value.line, err.value.column) == (13, 11)
+
+
+def test_each_distinct_event_is_rendered_once(monkeypatch):
+    rendered = []
+    render = scenario.render_event
+    monkeypatch.setattr(scenario, "render_event", lambda spec: rendered.append(spec) or render(spec))
+    for n in range(1, 7):
+        rendered.clear()
+        doc = parse_scenario(ladder_text(random.Random(n), n))
+        build_scenario(doc)
+        render_scenario(doc)
+        assert len(rendered) == 2 * n  # one analyzer per time, two signs each
 
 
 def test_repeated_tokens_share_one_spec_and_one_event():
