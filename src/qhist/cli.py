@@ -184,11 +184,13 @@ def _angle(text: str) -> float:
 def _numbers_as_values(argv: list[str]) -> list[str]:
     """argparse reads an argument that starts with "-" as an option unless it
     is a plain negative number, so "-inf" or "-1e5" would be unknown options.
-    After the chsh verb every such number gets a leading space: argparse
-    then reads it as a value, and float() ignores the space."""
+    After the chsh verb every such number that is not the value of --format
+    gets a leading space: argparse then reads it as an angle, and float()
+    ignores the space."""
     if argv[:1] != ["chsh"]:
         return argv
-    return ["chsh"] + [" " + a if a.startswith("-") and _is_number(a) else a for a in argv[1:]]
+    return argv[:1] + [" " + a if a.startswith("-") and before != "--format" and _is_number(a)
+                       else a for before, a in zip(argv, argv[1:])]
 
 
 def _is_number(text: str) -> bool:
