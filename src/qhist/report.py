@@ -63,7 +63,7 @@ def _json_texts(values) -> list[str]:
     exponent is json's already, and any other goes through json.dumps."""
     a = np.asarray(values, dtype=float)
     a = np.where(np.abs(a) < _ZERO_BELOW, 0.0, a)  # also turns -0.0 into +0.0
-    texts = ("%.12g " * a.size % tuple(a.tolist())).split()
+    texts = ("%.12g " * a.size % tuple(a.tolist())).split(" ")[:-1]
     with np.errstate(invalid="ignore"):  # inf - inf
         plain = (np.abs(a - np.round(a)) > 1e-11 * np.abs(a)) & (np.abs(a) < 1e11)
     for k in np.flatnonzero(~plain).tolist():
@@ -210,7 +210,8 @@ def report_from_dict(data: dict) -> Report:
 # pairs array, _FAMILY_MID, its probabilities array and _FAMILY_TAIL. A pair
 # is written as its lead (_PAIR_FIRST for the first pair, _PAIR_NEXT for the
 # others), i, _PAIR_J, j, _PAIR_RE, re, _PAIR_IM and im, and the array ends
-# with _PAIRS_END. The document is joined from these pieces and the
+# with _PAIRS_END; the pieces around i and j are attached to the text of
+# each distinct index. The document is joined from these pieces and the
 # columns' texts once, so the text of a large pairs array is copied once.
 _FAMILY_HEAD = ('{\n      "name": %s,\n      "consistent": %s,\n'
                 '      "exhaustive": %s,\n      "violating_pairs": ')
@@ -234,10 +235,11 @@ def _interleave(*columns) -> list:
     return flat
 
 
-def _int_texts(values: np.ndarray) -> list[str]:
-    """str() of every value; each distinct value is converted once."""
+def _int_texts(values: np.ndarray, before: str, after: str) -> list[str]:
+    """before + str(v) + after for every value v; each distinct value is
+    converted once."""
     distinct, where = np.unique(values, return_inverse=True)
-    return np.array(list(map(str, distinct.tolist())), dtype=object)[where].tolist()
+    return np.array([before + str(v) + after for v in distinct.tolist()], dtype=object)[where].tolist()
 
 
 def _family_json(f: FamilyResult) -> list[str]:
@@ -245,10 +247,10 @@ def _family_json(f: FamilyResult) -> list[str]:
     pieces = [_FAMILY_HEAD % (json.dumps(f.name), json.dumps(f.consistent), json.dumps(f.exhaustive))]
     n = len(pairs)
     if n:
-        ij = _int_texts(np.concatenate((pairs.i, pairs.j)))
-        pieces += _interleave([_PAIR_NEXT] * n, ij[:n], [_PAIR_J] * n, ij[n:],
-                              [_PAIR_RE] * n, pairs.re, [_PAIR_IM] * n, pairs.im)
-        pieces[1] = _PAIR_FIRST
+        pieces += _interleave(_int_texts(pairs.i, _PAIR_NEXT, _PAIR_J),
+                              _int_texts(pairs.j, "", _PAIR_RE),
+                              pairs.re, [_PAIR_IM] * n, pairs.im)
+        pieces[1] = _PAIR_FIRST + pieces[1][len(_PAIR_NEXT):]
         pieces.append(_PAIRS_END)
     else:
         pieces.append("[]")
