@@ -74,7 +74,9 @@ def _json_texts(values) -> list[str]:
 
 
 def _dumps_all(values) -> list[str]:
-    return [json.dumps(float(x)) for x in values]
+    """json.dumps(float(x)) for every value: a finite float's repr, or json's
+    spelling of NaN and the infinities (for which x - x is not 0)."""
+    return [repr(x) if x - x == 0 else json.dumps(x) for x in map(float, values)]
 
 
 class ReportedPairs(Columns):
@@ -190,20 +192,22 @@ def report_to_dict(report: Report) -> dict:
 
 
 def report_from_dict(data: dict) -> Report:
-    families = tuple(
-        FamilyResult(
+    families = []
+    for f in data["families"]:
+        pairs = f["violating_pairs"]
+        families.append(FamilyResult(
             name=f["name"],
             consistent=bool(f["consistent"]),
             exhaustive=bool(f["exhaustive"]),
-            violating_pairs=tuple(
-                (int(p["i"]), int(p["j"]), float(p["re"]), float(p["im"]))
-                for p in f["violating_pairs"]
+            violating_pairs=ReportedPairs(
+                np.array([p["i"] for p in pairs], dtype=np.int64),
+                np.array([p["j"] for p in pairs], dtype=np.int64),
+                _dumps_all([p["re"] for p in pairs]),
+                _dumps_all([p["im"] for p in pairs]),
             ),
-            probabilities=tuple(float(p) for p in f["probabilities"]),
-        )
-        for f in data["families"]
-    )
-    return Report(data["scenario"], families)
+            probabilities=f["probabilities"],
+        ))
+    return Report(data["scenario"], tuple(families))
 
 
 # Pieces of the indent=2 layout. A family is written as _FAMILY_HEAD, its
