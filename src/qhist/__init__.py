@@ -53,12 +53,11 @@ from .histories import (
     Family,
     History,
     QueryOnInconsistentFamily,
-    chain_ket,
+    chain_kets,
     check_consistency,
     collapse_family,
     event,
     family_from_event_table,
-    history_overlap,
     history_probability,
     replace_events_with_identity,
     unitary_family,

@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import islice
 
 from . import bell
 from .frameworks import Proposition, query
@@ -174,31 +175,33 @@ def _tolerance(text: str) -> float:
 
 
 def _angle(text: str) -> float:
-    text = text.strip()  # see _numbers_as_values
     angle = _number(text)
     if not math.isfinite(angle):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return angle
 
 
-def _numbers_as_values(argv: list[str]) -> list[str]:
-    """argparse reads an argument that starts with "-" as an option unless it
-    is a plain negative number, so "-inf" or "-1e5" would be unknown options.
-    After the chsh verb every such number that is not the value of --format
-    gets a leading space: argparse then reads it as an angle, and float()
-    ignores the space."""
+def _chsh_options_first(argv: list[str]) -> list[str]:
+    """After the chsh verb: the options, then "--" and every angle in the
+    order given. argparse reads an argument that starts with "-" as an
+    option unless it is a plain negative number (so "-inf" and "-1e5" would
+    be unknown options), and gives a "*" positional only the arguments
+    before the first option; after "--" each one is an angle. A "--" typed
+    by the user ends the options and is not an angle itself."""
     if argv[:1] != ["chsh"]:
         return argv
-    return argv[:1] + [" " + a if a.startswith("-") and before != "--format" and _is_number(a)
-                       else a for before, a in zip(argv, argv[1:])]
-
-
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
+    options, angles = argv[:1], []
+    rest = iter(argv[1:])
+    for a in rest:
+        if a == "--":
+            angles += rest
+        elif a.startswith("--") or a == "-h":
+            options.append(a)
+            if "=" not in a and "--format".startswith(a):  # its value follows
+                options += islice(rest, 1)
+        else:
+            angles.append(a)
+    return options + (["--", *angles] if angles else [])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -256,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_numbers_as_values(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_chsh_options_first(sys.argv[1:] if argv is None else argv))
     if getattr(args, "command", None) == "chsh" and len(args.angles) not in (0, 4):
         parser.error("chsh takes no angles or exactly four")
     try:

@@ -31,7 +31,8 @@ as one matrix, the decoherence functional D = K^dag K with
 D[a, b] = <alpha_a|alpha_b> (Gell-Mann & Hartle, Phys. Rev. D 47, 3345
 (1993)); its real diagonal holds the probabilities, and the family is
 orthogonal when no entry above the diagonal exceeds ``tol`` (Griffiths,
-J. Stat. Phys. 36, 219 (1984)).
+J. Stat. Phys. 36, 219 (1984)). :func:`chain_kets` returns K; the verdict
+keeps its pairs as an :class:`OverlapPairs`, which the report writes as is.
 
 Probabilities of a family that fails the check are quantum-mechanically
 meaningless; asking for them raises :class:`QueryOnInconsistentFamily`.
@@ -178,55 +179,42 @@ class Family:
         return i
 
 
-class Columns:
-    """A read-only sequence whose rows are kept as columns, one attribute per
-    name in ``__slots__``. ``len()`` reads the first column, and a row is made
-    from the columns only when it is read, so a verdict of 10^5 pairs costs
-    no object per pair until a caller iterates it.
+class OverlapPairs:
+    """Interfering pairs of histories as three arrays: the 1-based indices
+    ``i`` < ``j``, sorted, and the complex ``overlaps`` D[i - 1, j - 1]. It
+    reads as the sequence of (i, j, overlap) tuples, made only when a row is
+    read; ``len()`` and slicing touch no row. It equals an OverlapPairs with
+    equal arrays and a tuple or list with equal rows, its repr is that of
+    the tuple of its rows, and it is not hashable."""
 
-    It equals another instance of its class with equal columns (arrays
-    compared element by element), and a tuple or list with equal rows. Its
-    repr is that of the tuple of its rows. It is not hashable."""
-
-    __slots__ = ()
+    __slots__ = ("i", "j", "overlaps")
     __hash__ = None
 
+    def __init__(self, i: np.ndarray, j: np.ndarray, overlaps: np.ndarray):
+        self.i, self.j, self.overlaps = i, j, overlaps
+
     def __len__(self) -> int:
-        return len(getattr(self, self.__slots__[0]))
+        return len(self.i)
+
+    def __iter__(self):
+        return zip(self.i.tolist(), self.j.tolist(), self.overlaps.tolist())
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return type(self)(*(getattr(self, name)[k] for name in self.__slots__))
+            return OverlapPairs(self.i[k], self.j[k], self.overlaps[k])
         k = range(len(self))[k]
         return next(iter(self[k:k + 1]))
 
     def __eq__(self, other) -> bool:
-        if type(other) is type(self):
-            return all(
-                a == b if isinstance(a, list) else np.array_equal(a, b)
-                for a, b in ((getattr(self, n), getattr(other, n)) for n in self.__slots__)
-            )
+        if isinstance(other, OverlapPairs):
+            return all(map(np.array_equal, (self.i, self.j, self.overlaps),
+                           (other.i, other.j, other.overlaps)))
         if isinstance(other, (tuple, list)):
             return tuple(self) == tuple(other)
         return NotImplemented
 
     def __repr__(self) -> str:
         return repr(tuple(self))
-
-
-class OverlapPairs(Columns):
-    """Interfering pairs of histories as three arrays: the 1-based indices
-    ``i`` < ``j``, sorted, and the complex ``overlaps`` D[i - 1, j - 1]. It
-    reads as the sequence of (i, j, overlap) tuples of ints and complex
-    numbers."""
-
-    __slots__ = ("i", "j", "overlaps")
-
-    def __init__(self, i: np.ndarray, j: np.ndarray, overlaps: np.ndarray):
-        self.i, self.j, self.overlaps = i, j, overlaps
-
-    def __iter__(self):
-        return zip(self.i.tolist(), self.j.tolist(), self.overlaps.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,7 +257,7 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(np.vdot(v, v).real)
 
 
-def _chain_kets(f: Family, tol: float = EPS_CONS) -> tuple[np.ndarray, bool]:
+def _walk(f: Family, tol: float = EPS_CONS) -> tuple[np.ndarray, bool]:
     """One walk of the event-prefix tree: the N x dim array of chain kets, one
     row per history, and whether every live node passes the exhaustiveness
     test. A node whose ket has norm <= tol is dead: it carries no probability,
@@ -302,16 +290,11 @@ def _chain_kets(f: Family, tol: float = EPS_CONS) -> tuple[np.ndarray, bool]:
     return kets, exhaustive
 
 
-def chain_ket(h: History, f: Family) -> np.ndarray:
-    """|alpha> = P^(alpha_n) ... P^(alpha_1)|psi0>; may be zero, is not normalized."""
-    return _chain_kets(f)[0][f.history_index(h)]
-
-
-def history_overlap(h1: History, h2: History, f: Family) -> complex:
-    """Chain-ket inner product <alpha|beta>, conjugate-symmetric in (h1, h2)."""
-    i, j = f.history_index(h1), f.history_index(h2)
-    kets = _chain_kets(f)[0]
-    return complex(np.vdot(kets[i], kets[j]))
+def chain_kets(f: Family) -> np.ndarray:
+    """K: the N x dim array whose row a is the chain ket |alpha_a> =
+    P^(alpha_n) ... P^(alpha_1)|psi0> of ``f.histories[a]`` (may be zero, is
+    not normalized), from one walk. Overlaps are K.conj() @ K.T."""
+    return _walk(f)[0]
 
 
 def check_consistency(f: Family, tol: float = EPS_CONS) -> ConsistencyReport:
@@ -324,7 +307,7 @@ def check_consistency(f: Family, tol: float = EPS_CONS) -> ConsistencyReport:
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    kets, exhaustive = _chain_kets(f, tol)
+    kets, exhaustive = _walk(f, tol)
     overlaps = kets.conj() @ kets.T  # D = K^dag K
     probabilities = _read_only(overlaps.diagonal().real.copy())
     rows, cols = np.nonzero(np.triu(~(np.abs(overlaps) <= tol), 1))  # NaN violates

@@ -13,28 +13,29 @@ magnitudes below 1e-12 snapped to zero), so rendering is deterministic and
 Probabilities are listed only for families that pass the consistency check;
 for the rest they would carry no meaning.
 
-A :class:`FamilyResult` keeps its numbers once, as columns: the pair
-indices as int arrays and every number as the text the machine form prints
-for it, json's spelling of the rounded float (see :func:`_json_texts`).
-Floats are made only when a caller reads ``violating_pairs`` or
-``probabilities``.
-
-Both writers read the columns and make no tuple per pair. The machine
-writer joins the kept texts with the fixed pieces of the layout in one pass,
-so a report of 10^5 pairs costs no tree of dicts, no pass of :mod:`json`'s
-pure-Python indenting encoder and no number formatted twice; its output
-stays byte for byte ``json.dumps(report_to_dict(r), indent=2)`` plus a
-newline. The text writer fills one ``%.12g`` template per pair.
+A :class:`FamilyResult` keeps the verdict's own columns: the
+:class:`~qhist.histories.OverlapPairs` of the check and its float array of
+probabilities. Nothing is rounded until a writer runs; the two writers are
+the only place that rounds and formats, and neither makes a tuple per pair.
+The machine writer spells a family's numbers as json would spell the
+rounded floats, in one pass (:func:`_json_texts`), and joins those texts
+with the fixed pieces of the layout, so a report of 10^5 pairs costs no
+tree of dicts and no pass of :mod:`json`'s pure-Python indenting encoder;
+its output stays byte for byte ``json.dumps(report_to_dict(r), indent=2)``
+plus a newline. The text writer fills one ``%.12g`` template per pair with
+the snapped floats: ``%.12g`` of ``round12(x)`` is ``%.12g`` of ``x`` for
+every ``|x| >= 1e-12``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
-from .histories import Columns, check_consistency
+from .histories import OverlapPairs, check_consistency
 from .linalg import EPS_CONS
 from .scenario import BuiltScenario, ScenarioDoc, build_scenario
 
@@ -50,6 +51,11 @@ def round12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
+def _snapped(a: np.ndarray) -> np.ndarray:
+    """The floats with magnitudes below 1e-12 (and -0.0) made +0.0."""
+    return np.where(np.abs(a) < _ZERO_BELOW, 0.0, a)
+
+
 def _json_texts(values) -> list[str]:
     """``json.dumps(round12(x))`` for every value, from one "%.12g" pass.
 
@@ -61,8 +67,7 @@ def _json_texts(values) -> list[str]:
     magnitude away from every integer rounds to none of these, so only the
     other values are looked at again: a text with a "." and no "e+1"
     exponent is json's already, and any other goes through json.dumps."""
-    a = np.asarray(values, dtype=float)
-    a = np.where(np.abs(a) < _ZERO_BELOW, 0.0, a)  # also turns -0.0 into +0.0
+    a = _snapped(np.asarray(values, dtype=float))
     texts = ("%.12g " * a.size % tuple(a.tolist())).split(" ")[:-1]
     with np.errstate(invalid="ignore"):  # inf - inf
         plain = (np.abs(a - np.round(a)) > 1e-11 * np.abs(a)) & (np.abs(a) < 1e11)
@@ -73,75 +78,28 @@ def _json_texts(values) -> list[str]:
     return texts
 
 
-def _dumps_all(values) -> list[str]:
-    """json.dumps(float(x)) for every value: a finite float's repr, or json's
-    spelling of NaN and the infinities (for which x - x is not 0)."""
-    return [repr(x) if x - x == 0 else json.dumps(x) for x in map(float, values)]
-
-
-class ReportedPairs(Columns):
-    """A report's violating pairs: 1-based int arrays ``i`` and ``j``, and
-    the lists ``re`` and ``im`` of the texts the machine form prints for the
-    overlaps' parts. It reads as the sequence of (i, j, re, im) tuples of
-    ints and floats; the floats are parsed from the texts when read."""
-
-    __slots__ = ("i", "j", "re", "im")
-
-    def __init__(self, i: np.ndarray, j: np.ndarray, re: list[str], im: list[str]):
-        self.i, self.j, self.re, self.im = i, j, re, im
-
-    def __iter__(self):
-        return zip(self.i.tolist(), self.j.tolist(), map(float, self.re), map(float, self.im))
-
-    @classmethod
-    def from_rows(cls, rows) -> ReportedPairs:
-        """From (i, j, re, im) rows; each number is kept as json.dumps(float(x))."""
-        rows = list(rows)
-        i, j, re, im = zip(*rows) if rows else ((),) * 4
-        return cls(np.array(i, dtype=np.int64), np.array(j, dtype=np.int64),
-                   _dumps_all(re), _dumps_all(im))
-
-
-class ReportedNumbers(Columns):
-    """A report's probabilities: the list ``texts`` of what the machine form
-    prints for each. It reads as the sequence of floats parsed from them."""
-
-    __slots__ = ("texts",)
-
-    def __init__(self, texts: list[str]):
-        self.texts = texts
-
-    def __iter__(self):
-        return map(float, self.texts)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FamilyResult:
-    """One family's verdict as reported.
-
-    ``violating_pairs`` and ``probabilities`` are :class:`ReportedPairs` and
-    :class:`ReportedNumbers`. The constructor (and so ``dataclasses.replace``)
-    also takes any sequence of (i, j, re, im) rows and any sequence of
-    numbers, and keeps each number as ``json.dumps(float(x))``, the text the
-    machine form then prints.
-
-    Two results are equal when the machine form would print them alike:
-    equal names, flags and pair indices, and equal texts for every number.
-    So NaN equals NaN, and -0.0 differs from 0.0. The repr is the
-    constructor call with the pairs and probabilities as tuples. A result
-    is not hashable."""
+    """One family's verdict as reported: ``violating_pairs`` is the
+    :class:`~qhist.histories.OverlapPairs` that :func:`check_consistency`
+    returned and ``probabilities`` its float array, empty when the family is
+    inconsistent (a result made by hand passes the same two types). Only the
+    writers round the numbers. Two results are equal when the machine form
+    prints them alike, so NaN equals NaN and -0.0 equals 0.0 (both print
+    0.0). A result is not hashable."""
 
     name: str
     consistent: bool
     exhaustive: bool
-    violating_pairs: ReportedPairs
-    probabilities: ReportedNumbers
+    violating_pairs: OverlapPairs
+    probabilities: np.ndarray
 
-    def __post_init__(self):
-        if not isinstance(self.violating_pairs, ReportedPairs):
-            object.__setattr__(self, "violating_pairs", ReportedPairs.from_rows(self.violating_pairs))
-        if not isinstance(self.probabilities, ReportedNumbers):
-            object.__setattr__(self, "probabilities", ReportedNumbers(_dumps_all(self.probabilities)))
+    __hash__ = None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FamilyResult):
+            return NotImplemented
+        return "".join(_family_json(self)) == "".join(_family_json(other))
 
 
 @dataclass(frozen=True)
@@ -160,19 +118,15 @@ def run_scenario(doc: ScenarioDoc | BuiltScenario, tol: float = EPS_CONS) -> Rep
     results = []
     for name, family in built.families:
         verdict = check_consistency(family, tol)
-        pairs = verdict.violating_pairs
-        n = len(pairs)
-        probs = verdict.probabilities if verdict.consistent else ()
-        texts = _json_texts(np.concatenate((pairs.overlaps.real, pairs.overlaps.imag, probs)))
-        results.append(FamilyResult(
-            name, verdict.consistent, verdict.exhaustive,
-            ReportedPairs(pairs.i, pairs.j, texts[:n], texts[n:2 * n]),
-            ReportedNumbers(texts[2 * n:]),
-        ))
+        probs = verdict.probabilities if verdict.consistent else verdict.probabilities[:0]
+        results.append(FamilyResult(name, verdict.consistent, verdict.exhaustive,
+                                    verdict.violating_pairs, probs))
     return Report(built.doc.name, tuple(results))
 
 
 def report_to_dict(report: Report) -> dict:
+    """The machine form as a tree of dicts, each number rounded by
+    :func:`round12`: the reference the machine writer is tested against."""
     return {
         "scenario": report.scenario,
         "families": [
@@ -181,31 +135,34 @@ def report_to_dict(report: Report) -> dict:
                 "consistent": f.consistent,
                 "exhaustive": f.exhaustive,
                 "violating_pairs": [
-                    {"i": i, "j": j, "re": re, "im": im}
-                    for i, j, re, im in f.violating_pairs
+                    {"i": i, "j": j, "re": round12(z.real), "im": round12(z.imag)}
+                    for i, j, z in f.violating_pairs
                 ],
-                "probabilities": list(f.probabilities),
+                "probabilities": [round12(p) for p in f.probabilities],
             }
             for f in report.families
         ],
     }
 
 
+def _column(rows: list[dict], key: str, dtype) -> np.ndarray:
+    return np.fromiter(map(itemgetter(key), rows), dtype, len(rows))
+
+
 def report_from_dict(data: dict) -> Report:
     families = []
     for f in data["families"]:
         pairs = f["violating_pairs"]
+        overlaps = np.empty(len(pairs), dtype=complex)
+        overlaps.real = _column(pairs, "re", float)  # re + 1j * im would turn
+        overlaps.imag = _column(pairs, "im", float)  # an infinite im into a NaN re
         families.append(FamilyResult(
             name=f["name"],
             consistent=bool(f["consistent"]),
             exhaustive=bool(f["exhaustive"]),
-            violating_pairs=ReportedPairs(
-                np.array([p["i"] for p in pairs], dtype=np.int64),
-                np.array([p["j"] for p in pairs], dtype=np.int64),
-                _dumps_all([p["re"] for p in pairs]),
-                _dumps_all([p["im"] for p in pairs]),
-            ),
-            probabilities=f["probabilities"],
+            violating_pairs=OverlapPairs(_column(pairs, "i", np.int64),
+                                         _column(pairs, "j", np.int64), overlaps),
+            probabilities=np.array(f["probabilities"], dtype=float),
         ))
     return Report(data["scenario"], tuple(families))
 
@@ -247,13 +204,15 @@ def _int_texts(values: np.ndarray, before: str, after: str) -> list[str]:
 
 
 def _family_json(f: FamilyResult) -> list[str]:
-    pairs, probs = f.violating_pairs, f.probabilities.texts
-    pieces = [_FAMILY_HEAD % (json.dumps(f.name), json.dumps(f.consistent), json.dumps(f.exhaustive))]
+    pairs = f.violating_pairs
     n = len(pairs)
+    texts = _json_texts(np.concatenate((pairs.overlaps.real, pairs.overlaps.imag, f.probabilities)))
+    re, im, probs = texts[:n], texts[n:2 * n], texts[2 * n:]
+    pieces = [_FAMILY_HEAD % (json.dumps(f.name), json.dumps(f.consistent), json.dumps(f.exhaustive))]
     if n:
         pieces += _interleave(_int_texts(pairs.i, _PAIR_NEXT, _PAIR_J),
                               _int_texts(pairs.j, "", _PAIR_RE),
-                              pairs.re, [_PAIR_IM] * n, pairs.im)
+                              re, [_PAIR_IM] * n, im)
         pieces[1] = _PAIR_FIRST + pieces[1][len(_PAIR_NEXT):]
         pieces.append(_PAIRS_END)
     else:
@@ -284,14 +243,15 @@ def render_report_text(report: Report) -> str:
         verdict = "consistent" if f.consistent else "inconsistent"
         lines.append(f"family {f.name}: {verdict} (exhaustive: {'yes' if f.exhaustive else 'no'})")
         if f.consistent:
-            probs = tuple(f.probabilities)
-            lines.append("  probabilities: " + ", ".join(["%.12g"] * len(probs)) % probs)
+            probs = [round12(p) for p in f.probabilities]
+            lines.append("  probabilities: " + ", ".join(["%.12g"] * len(probs)) % tuple(probs))
             lines.append(f"  probability sum: {sum(probs):.12g}")
         else:
             pairs = f.violating_pairs
             lines.append(f"  violating pairs ({len(pairs)}):")
             if pairs:
                 values = _interleave(pairs.i.tolist(), pairs.j.tolist(),
-                                     map(float, pairs.re), map(float, pairs.im))
+                                     _snapped(pairs.overlaps.real).tolist(),
+                                     _snapped(pairs.overlaps.imag).tolist())
                 lines.append("\n".join([_PAIR_TEXT] * len(pairs)) % tuple(values))
     return "\n".join(lines) + "\n"

@@ -303,6 +303,14 @@ def test_chsh_negative_angles_are_values():
     assert json.loads(result.stdout)["angles_deg"] == [-5.0, 0.0, 45.0, -10.0]
 
 
+def test_chsh_options_may_sit_between_angles():
+    interleaved = qhist("chsh", "0", "90", "--format", "machine", "45", "135")
+    assert interleaved.returncode == 0, interleaved.stderr
+    assert interleaved.stdout == qhist("chsh", "--format", "machine", "0", "90", "45", "135").stdout
+    negative = qhist("chsh", "-5", "--format", "machine", "0", "45", "-1e1")
+    assert json.loads(negative.stdout)["angles_deg"] == [-5.0, 0.0, 45.0, -10.0]
+
+
 def test_chsh_wrong_angle_count_exits_2():
     result = qhist("chsh", "10", "20")
     assert result.returncode == 2

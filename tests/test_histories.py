@@ -15,12 +15,11 @@ from qhist.histories import (
     Family,
     History,
     QueryOnInconsistentFamily,
-    chain_ket,
+    chain_kets,
     check_consistency,
     collapse_family,
     event,
     family_from_event_table,
-    history_overlap,
     history_probability,
     replace_events_with_identity,
     unitary_family,
@@ -51,7 +50,7 @@ def eq23_family() -> Family:
 
 def test_chain_ket_eigenstate_projection():
     fam = family_from_event_table(oracles.ZP, GRID2, FREE2, [[("z1+", ZP_PROJ)]])
-    assert np.allclose(chain_ket(fam.histories[0], fam), oracles.ZP)
+    assert np.allclose(chain_kets(fam)[0], oracles.ZP)
 
 
 def test_chain_ket_two_step_hand_value():
@@ -59,14 +58,14 @@ def test_chain_ket_two_step_hand_value():
     fam = family_from_event_table(
         oracles.ZP, GRID3, FREE2, [[("x1+", XP_PROJ), ("z2+", ZP_PROJ)]]
     )
-    assert np.allclose(chain_ket(fam.histories[0], fam), np.array([0.5, 0.0]))
+    assert np.allclose(chain_kets(fam)[0], np.array([0.5, 0.0]))
 
 
 def test_chain_ket_orthogonal_events_vanish():
     fam = family_from_event_table(
         oracles.ZP, GRID3, FREE2, [[("z1-", ZM_PROJ), ("z2+", ZP_PROJ)]]
     )
-    assert np.allclose(chain_ket(fam.histories[0], fam), np.zeros(2))
+    assert np.allclose(chain_kets(fam)[0], np.zeros(2))
 
 
 def test_chain_ket_matches_independent_evaluator(rng):
@@ -83,28 +82,22 @@ def test_chain_ket_matches_independent_evaluator(rng):
         ],
         oracles.ZP,
     )
-    assert np.allclose(chain_ket(fam.histories[0], fam), expected, atol=1e-12)
+    assert np.allclose(chain_kets(fam)[0], expected, atol=1e-12)
 
 
 def test_history_overlap_is_hermitian():
     fam = eq23_family()
-    h1, h3 = fam.histories[0], fam.histories[2]
-    assert history_overlap(h1, h3, fam) == pytest.approx(
-        np.conj(history_overlap(h3, h1, fam))
-    )
-    diag = history_overlap(h1, h1, fam)
+    k1, k3 = chain_kets(fam)[[0, 2]]
+    assert np.vdot(k1, k3) == pytest.approx(np.conj(np.vdot(k3, k1)))
+    diag = np.vdot(k1, k1)
     assert diag.imag == pytest.approx(0.0, abs=1e-15)
     assert diag.real >= 0.0
 
 
 def test_eq23_overlap_values():
-    fam = eq23_family()
-    assert history_overlap(fam.histories[0], fam.histories[2], fam) == pytest.approx(
-        0.25, abs=EPS_CONS
-    )
-    assert history_overlap(fam.histories[1], fam.histories[3], fam) == pytest.approx(
-        -0.25, abs=EPS_CONS
-    )
+    kets = chain_kets(eq23_family())
+    assert np.vdot(kets[0], kets[2]) == pytest.approx(0.25, abs=EPS_CONS)
+    assert np.vdot(kets[1], kets[3]) == pytest.approx(-0.25, abs=EPS_CONS)
 
 
 def test_eq23_identity_replacement_restores_orthogonality():
@@ -113,9 +106,8 @@ def test_eq23_identity_replacement_restores_orthogonality():
         [("x1-", XM_PROJ), ("1", None)],
     ]
     fam = family_from_event_table(oracles.ZP, GRID3, FREE2, rows)
-    assert history_overlap(fam.histories[0], fam.histories[1], fam) == pytest.approx(
-        0.0, abs=EPS_CONS
-    )
+    kets = chain_kets(fam)
+    assert np.vdot(kets[0], kets[1]) == pytest.approx(0.0, abs=EPS_CONS)
 
 
 def test_check_consistency_eq23():
@@ -349,14 +341,9 @@ def test_overlap_gram_matrix_is_positive_semidefinite():
     for name in ("eq23", "eq27-split", "eq28-sixteen", "eq30-collapse-x"):
         built = build_scenario(builtin_scenario(name))
         for _, fam in built.families:
-            m = len(fam.histories)
-            gram = np.array(
-                [
-                    [history_overlap(fam.histories[i], fam.histories[j], fam)
-                     for j in range(m)]
-                    for i in range(m)
-                ]
-            )
+            kets = chain_kets(fam)
+            assert kets.shape == (len(fam.histories), fam.dim)
+            gram = kets.conj() @ kets.T
             assert np.min(np.linalg.eigvalsh((gram + gram.conj().T) / 2)) >= -EPS_CONS
 
 

@@ -1,7 +1,8 @@
 """The report writers against their definitions: the machine form is
-``json.dumps(report_to_dict(r), indent=2)`` plus a newline, the text form is
-the line-by-line loop kept here as the reference, and run_scenario's batch
-rounding is round12 applied to each value."""
+``json.dumps(report_to_dict(r), indent=2)`` plus a newline, where
+report_to_dict rounds each number with round12; the text form is the
+line-by-line loop kept here as the reference; and the machine form reads
+back equal."""
 
 import json
 import random
@@ -10,12 +11,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qhist import report as report_module
 from qhist.histories import OverlapPairs, check_consistency
 from qhist.report import (
     FamilyResult,
     Report,
-    ReportedNumbers,
-    ReportedPairs,
     _json_texts,
     render_report_machine,
     render_report_text,
@@ -24,7 +24,7 @@ from qhist.report import (
     round12,
     run_scenario,
 )
-from qhist.scenario import build_scenario, parse_scenario
+from qhist.scenario import build_scenario, builtin_scenario, parse_scenario
 
 import ladder_golden
 from ladder_golden import ladder_text
@@ -33,24 +33,43 @@ NAN, INF = float("nan"), float("inf")
 EDGE_FLOATS = (NAN, INF, -INF, -0.0, 0.0, 1e-05, 1e16, 100000000000.0, 1.0, -2.5e-300)
 
 
+def pairs_of(rows) -> OverlapPairs:
+    """An OverlapPairs from (i, j, re, im) rows. The two parts are set one
+    by one, so an infinite part leaves the other one as given."""
+    rows = list(rows)
+    overlaps = np.empty(len(rows), dtype=complex)
+    overlaps.real = [row[2] for row in rows]
+    overlaps.imag = [row[3] for row in rows]
+    return OverlapPairs(np.array([row[0] for row in rows], dtype=np.int64),
+                        np.array([row[1] for row in rows], dtype=np.int64), overlaps)
+
+
+def probs(*values) -> np.ndarray:
+    return np.array(values, dtype=float)
+
+
 def reference_text(report: Report) -> str:
     lines = [f"scenario: {report.scenario}"]
     for f in report.families:
         verdict = "consistent" if f.consistent else "inconsistent"
         lines.append(f"family {f.name}: {verdict} (exhaustive: {'yes' if f.exhaustive else 'no'})")
         if f.consistent:
-            lines.append(f"  probabilities: {', '.join(f'{p:.12g}' for p in f.probabilities)}")
-            lines.append(f"  probability sum: {sum(f.probabilities):.12g}")
+            rounded = [round12(p) for p in f.probabilities]
+            lines.append(f"  probabilities: {', '.join(f'{p:.12g}' for p in rounded)}")
+            lines.append(f"  probability sum: {sum(rounded):.12g}")
         else:
             lines.append(f"  violating pairs ({len(f.violating_pairs)}):")
-            for i, j, re, im in f.violating_pairs:
-                lines.append(f"    ({i}, {j}): overlap re={re:.12g} im={im:.12g}")
+            for i, j, z in f.violating_pairs:
+                lines.append(f"    ({i}, {j}): overlap re={round12(z.real):.12g} "
+                             f"im={round12(z.imag):.12g}")
     return "\n".join(lines) + "\n"
 
 
 def assert_writers_match(report: Report) -> None:
-    assert render_report_machine(report) == json.dumps(report_to_dict(report), indent=2) + "\n"
+    machine = render_report_machine(report)
+    assert machine == json.dumps(report_to_dict(report), indent=2) + "\n"
     assert render_report_text(report) == reference_text(report)
+    assert report_from_dict(json.loads(machine)) == report
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -60,34 +79,34 @@ def test_writers_match_on_seeded_ladders(seed):
     for tol in (1e-10, 1e-3, 0.3):
         report = run_scenario(doc, tol)
         assert_writers_match(report)
-        assert report_from_dict(json.loads(render_report_machine(report))) == report
 
 
 def test_a_result_changed_after_run_scenario_is_written_from_its_floats():
     report = run_scenario(parse_scenario(ladder_text(random.Random(3), 3)), 1e-3)
     (f,) = report.families
+    pairs = f.violating_pairs
     thirds = replace(
-        f, violating_pairs=tuple((i, j, re / 3, im) for i, j, re, im in f.violating_pairs),
-        probabilities=tuple(p / 3 for p in f.probabilities) + (1 / 3,),
+        f, violating_pairs=OverlapPairs(pairs.i, pairs.j, pairs.overlaps / 3),
+        probabilities=np.append(f.probabilities / 3, 1 / 3),
     )
-    assert thirds.violating_pairs and thirds.violating_pairs != f.violating_pairs
+    assert thirds.violating_pairs and thirds != f
     assert_writers_match(Report(report.scenario, (thirds, f, replace(thirds, consistent=True))))
 
 
 def test_writers_match_on_edge_cases():
     names = ('plain', 'quote " inside', "back\\slash", "tab\tand\nnewline", "snow ☃ é", "")
-    pairs = tuple(
+    edges = pairs_of(
         (i, i + 1, re, im)
         for i, (re, im) in enumerate(zip(EDGE_FLOATS, reversed(EDGE_FLOATS)), start=1)
     )
+    assert np.isinf(edges.overlaps[8].imag) and edges.overlaps[8].real == 1.0
     families = (
-        FamilyResult(names[0], False, True, pairs, ()),
-        FamilyResult(names[1], True, True, (), EDGE_FLOATS),
-        FamilyResult(names[2], True, False, (), ()),
-        FamilyResult(names[3], False, False, ((1, 2, 0.5, -0.25),), (1.0,)),
-        FamilyResult(names[4], True, True, (), (1.0,)),
-        FamilyResult(names[5], False, True, (), ()),
-        FamilyResult("lists", False, True, [[1, 2, 0.5, 0.25]], [0.5, 0.5]),
+        FamilyResult(names[0], False, True, edges, probs()),
+        FamilyResult(names[1], True, True, pairs_of(()), probs(*EDGE_FLOATS)),
+        FamilyResult(names[2], True, False, pairs_of(()), probs()),
+        FamilyResult(names[3], False, False, pairs_of([(1, 2, 0.5, -0.25)]), probs(1.0)),
+        FamilyResult(names[4], True, True, pairs_of(()), probs(1.0)),
+        FamilyResult(names[5], False, True, pairs_of(()), probs()),
     )
     for scenario in names:
         assert_writers_match(Report(scenario, families))
@@ -121,39 +140,57 @@ def test_json_numbers_equal_json_dumps_of_the_rounded_floats():
     assert _json_texts(values) == [json.dumps(round12(x)) for x in values]
 
 
-def test_family_result_equality_repr_and_replace():
-    f = FamilyResult("f", False, True, ((1, 2, 0.5, -0.25), (1, 3, 1e-05, 2.0)), (1 / 3,))
-    assert f == FamilyResult("f", False, True, [[1, 2, 0.5, -0.25], [1, 3, 1e-05, 2]], [1 / 3])
-    assert (f.violating_pairs.re, f.violating_pairs.im) == (["0.5", "1e-05"], ["-0.25", "2.0"])
-    assert f.probabilities.texts == [json.dumps(1 / 3)]
-    assert f.violating_pairs == ((1, 2, 0.5, -0.25), (1, 3, 1e-05, 2.0))
-    assert [tuple(map(type, row)) for row in f.violating_pairs] == [(int, int, float, float)] * 2
-    assert f.violating_pairs[-1] == (1, 3, 1e-05, 2.0) and f.violating_pairs[:1] == f.violating_pairs[:-1]
-    assert f.probabilities == (1 / 3,) and sum(f.probabilities) == 1 / 3
-    assert repr(f) == ("FamilyResult(name='f', consistent=False, exhaustive=True, violating_pairs="
-                       "((1, 2, 0.5, -0.25), (1, 3, 1e-05, 2.0)), probabilities=(0.3333333333333333,))")
-    assert eval(repr(f)) == f
-    assert replace(f, consistent=True) != f
-    assert replace(f, consistent=True).violating_pairs is f.violating_pairs  # columns are shared
-    assert replace(f, probabilities=(0.25,)).probabilities == (0.25,)
+def test_family_result_equality_and_replace():
+    f = FamilyResult("f", False, True, pairs_of([(1, 2, 0.5, -0.25), (1, 3, 1e-05, 2.0)]),
+                     probs(1 / 3))
+    variants = [
+        f,
+        FamilyResult("f", False, True, pairs_of([(1, 2, 0.5 + 1e-14, -0.25), (1, 3, 1e-05, 2.0)]),
+                     probs(1 / 3 + 1e-15)),  # the same 12 digits
+        replace(f, probabilities=probs(1 / 3 + 1e-9)),
+        replace(f, violating_pairs=f.violating_pairs[:1]),
+        replace(f, name="g"),
+        replace(f, consistent=True),
+        replace(f, exhaustive=False),
+        replace(f, probabilities=probs(NAN)),
+        replace(f, probabilities=probs(NAN)),
+        replace(f, probabilities=probs(-0.0)),
+        replace(f, probabilities=probs(0.0)),
+        replace(f, probabilities=probs(4e-13)),
+        replace(f, probabilities=probs(INF)),
+    ]
     # equal exactly when the machine form prints them alike
-    assert FamilyResult("n", True, True, (), (NAN,)) == FamilyResult("n", True, True, (), (NAN,))
-    assert FamilyResult("z", True, True, (), (-0.0,)) != FamilyResult("z", True, True, (), (0.0,))
-    assert FamilyResult("z", True, True, (), (-0.0,)).probabilities == (0.0,)  # floats compare
+    for a in variants:
+        for b in variants:
+            alike = render_report_machine(Report("s", (a,))) == render_report_machine(Report("s", (b,)))
+            assert (a == b) is alike and (a != b) is not alike
+    assert f == variants[1] and f != variants[2] and f != variants[3]
+    assert variants[7] == variants[8]  # NaN prints NaN
+    assert variants[9] == variants[10] == variants[11]  # all print 0.0
+    assert replace(f, consistent=True).violating_pairs is f.violating_pairs  # columns are shared
+    assert f != "f" and Report("s", (f,)) == Report("s", (variants[1],))
     with pytest.raises(TypeError):
         hash(f)
 
 
-def test_run_scenario_carries_the_verdict_columns():
-    doc = parse_scenario(ladder_text(random.Random(4), 4))
-    verdict = check_consistency(build_scenario(doc).families[0][1], 1e-3)
-    (f,) = run_scenario(doc, 1e-3).families
-    pairs = f.violating_pairs
-    assert len(pairs) == len(verdict.violating_pairs) > 0
-    assert np.array_equal(pairs.i, verdict.violating_pairs.i)
-    assert np.array_equal(pairs.j, verdict.violating_pairs.j)
-    overlaps = verdict.violating_pairs.overlaps
-    assert pairs.re + pairs.im == _json_texts(np.concatenate((overlaps.real, overlaps.imag)))
+def test_run_scenario_carries_the_verdict_columns(monkeypatch):
+    verdicts = []
+
+    def recording(family, tol):
+        verdicts.append(check_consistency(family, tol))
+        return verdicts[-1]
+
+    monkeypatch.setattr(report_module, "check_consistency", recording)
+    for doc in (parse_scenario(ladder_text(random.Random(4), 4)), builtin_scenario("eq27-split")):
+        (f,) = run_scenario(doc, 1e-3).families
+        verdict = verdicts[-1]
+        assert f.violating_pairs is verdict.violating_pairs
+        if verdict.consistent:
+            assert f.probabilities is verdict.probabilities
+        else:
+            assert f.probabilities.size == 0 and not f.probabilities.flags.writeable
+    assert [v.consistent for v in verdicts] == [False, True]
+    assert len(verdicts[0].violating_pairs) > 0
 
 
 def test_len_and_machine_writer_build_no_rows(monkeypatch):
@@ -161,17 +198,18 @@ def test_len_and_machine_writer_build_no_rows(monkeypatch):
     verdict = check_consistency(build_scenario(doc).families[0][1], 1e-3)
     report = run_scenario(doc, 1e-3)
     n, machine = len(tuple(verdict.violating_pairs)), render_report_machine(report)
+    text = render_report_text(report)
 
     def no_rows(*args):
         raise AssertionError("a row was built")
 
-    for cls in (OverlapPairs, ReportedPairs, ReportedNumbers):
-        monkeypatch.setattr(cls, "__iter__", no_rows)
-        monkeypatch.setattr(cls, "__getitem__", no_rows)
+    monkeypatch.setattr(OverlapPairs, "__iter__", no_rows)
+    monkeypatch.setattr(OverlapPairs, "__getitem__", no_rows)
     assert len(verdict.violating_pairs) == len(report.families[0].violating_pairs) == n > 0
     assert verdict.violating_pairs and not check_consistency(
         build_scenario(doc).families[0][1], 1.0).violating_pairs
     assert render_report_machine(report) == machine
+    assert render_report_text(report) == text
 
 
 def test_machine_reports_of_seeded_ladders_read_back_equal():
