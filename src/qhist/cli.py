@@ -54,11 +54,15 @@ def _read_scenario(path: str):
     return parse_scenario(text)
 
 
+def _emit(fmt: str, payload, text: str) -> int:
+    """Write the payload as indented JSON (machine format) or the text."""
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n" if fmt == "machine" else text + "\n")
+    return EXIT_OK
+
+
 def _emit_report(report, fmt: str) -> int:
-    if fmt == "machine":
-        sys.stdout.write(render_report_machine(report))
-    else:
-        sys.stdout.write(render_report_text(report))
+    render = render_report_machine if fmt == "machine" else render_report_text
+    sys.stdout.write(render(report))
     return EXIT_OK if report.all_consistent else EXIT_INCONSISTENT
 
 
@@ -74,12 +78,7 @@ def _cmd_run_builtin(args) -> int:
 
 def _cmd_list_builtin(args) -> int:
     names = list(BUILTIN_SOURCES)
-    if args.format == "machine":
-        sys.stdout.write(json.dumps({"builtin_scenarios": names}, indent=2) + "\n")
-    else:
-        for name in names:
-            print(name)
-    return EXIT_OK
+    return _emit(args.format, {"builtin_scenarios": names}, "\n".join(names))
 
 
 def _cmd_prob(args) -> int:
@@ -90,19 +89,15 @@ def _cmd_prob(args) -> int:
             f"history index {args.index} outside 1..{len(family.histories)}"
         )
     history = family.histories[args.index - 1]
-    p = history_probability(history, family, tol=args.tol)
-    if args.format == "machine":
-        payload = {
-            "scenario": built.doc.name,
-            "family": args.family,
-            "history": args.index,
-            "labels": list(history.labels),
-            "probability": round12(p),
-        }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        print(f"{' '.join(history.labels)}: probability {round12(p):.12g}")
-    return EXIT_OK
+    p = round12(history_probability(history, family, tol=args.tol))
+    payload = {
+        "scenario": built.doc.name,
+        "family": args.family,
+        "history": args.index,
+        "labels": list(history.labels),
+        "probability": p,
+    }
+    return _emit(args.format, payload, f"{' '.join(history.labels)}: probability {p:.12g}")
 
 
 def _cmd_query(args) -> int:
@@ -110,54 +105,43 @@ def _cmd_query(args) -> int:
     family = built.family(args.family)
     projector, time_index = proposition_projector(built, args.event)
     result = query(family, Proposition(projector, time_index), tol=args.tol)
-    if args.format == "machine":
-        payload = {
-            "scenario": built.doc.name,
-            "family": args.family,
-            "event": projector.label,
-            "meaningful": result.meaningful,
-        }
-        if result.meaningful:
-            payload["probability"] = round12(result.probability)
-        else:
-            payload["reason"] = result.reason
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    elif result.meaningful:
-        print(f"Prob({projector.label}) = {round12(result.probability):.12g}")
+    payload = {
+        "scenario": built.doc.name,
+        "family": args.family,
+        "event": projector.label,
+        "meaningful": result.meaningful,
+    }
+    if result.meaningful:
+        payload["probability"] = round12(result.probability)
+        text = f"Prob({projector.label}) = {payload['probability']:.12g}"
     else:
-        print(f"meaningless: {result.reason}")
-    return EXIT_OK
+        payload["reason"] = result.reason
+        text = f"meaningless: {result.reason}"
+    return _emit(args.format, payload, text)
 
 
 def _cmd_chsh(args) -> int:
     a, ap, b, bp = (Direction(math.radians(x), 0.0) for x in args.angles)
-    pairs = {
-        "E(a,b)": bell.correlation(bell.Settings(a, b)),
-        "E(a,b')": bell.correlation(bell.Settings(a, bp)),
-        "E(a',b)": bell.correlation(bell.Settings(ap, b)),
-        "E(a',b')": bell.correlation(bell.Settings(ap, bp)),
-    }
+    settings = {"E(a,b)": (a, b), "E(a,b')": (a, bp), "E(a',b)": (ap, b), "E(a',b')": (ap, bp)}
+    pairs = {k: bell.correlation(bell.Settings(*v)) for k, v in settings.items()}
     s = bell.chsh_value(*pairs.values())
-    bound = bell.lhv_classical_bound()
-    if args.format == "machine":
-        payload = {
-            "angles_deg": list(args.angles),
-            "correlations": {k: round12(v) for k, v in pairs.items()},
-            "chsh": round12(s),
-            "abs_chsh": round12(abs(s)),
-            "classical_bound": round12(bound),
-            "quantum_max": round12(2.0 * math.sqrt(2.0)),
-        }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        print(f"settings (degrees): a={args.angles[0]:g} a'={args.angles[1]:g} "
-              f"b={args.angles[2]:g} b'={args.angles[3]:g}")
-        for name, value in pairs.items():
-            print(f"  {name} = {round12(value):.12g}")
-        print(f"CHSH S = {round12(s):.12g}  |S| = {round12(abs(s)):.12g}")
-        print(f"deterministic local bound = {bound:g}, quantum maximum = "
-              f"{round12(2.0 * math.sqrt(2.0)):.12g}")
-    return EXIT_OK
+    payload = {
+        "angles_deg": list(args.angles),
+        "correlations": {k: round12(v) for k, v in pairs.items()},
+        "chsh": round12(s),
+        "abs_chsh": round12(abs(s)),
+        "classical_bound": round12(bell.lhv_classical_bound()),
+        "quantum_max": round12(2.0 * math.sqrt(2.0)),
+    }
+    text = "\n".join([
+        "settings (degrees): " + " ".join(
+            f"{name}={x:g}" for name, x in zip(("a", "a'", "b", "b'"), args.angles)),
+        *(f"  {name} = {value:.12g}" for name, value in payload["correlations"].items()),
+        f"CHSH S = {payload['chsh']:.12g}  |S| = {payload['abs_chsh']:.12g}",
+        f"deterministic local bound = {payload['classical_bound']:g}, quantum maximum = "
+        f"{payload['quantum_max']:.12g}",
+    ])
+    return _emit(args.format, payload, text)
 
 
 def _number(text: str) -> float:
@@ -264,12 +248,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("chsh takes no angles or exactly four")
     try:
         return args.func(args)
-    except ScenarioError as exc:
+    except (ScenarioError, QueryOnInconsistentFamily) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except QueryOnInconsistentFamily as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
+        return EXIT_USAGE if isinstance(exc, ScenarioError) else EXIT_INCONSISTENT
 
 
 if __name__ == "__main__":

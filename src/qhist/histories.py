@@ -377,15 +377,11 @@ def collapse_family(
     if labels is None:
         labels = tuple(f"e{k}" for k in range(dim))
 
-    n = grid.n_events
-    shared = []
-    for k in range(1, n):
-        state_k = evolved_state(schedule, grid, psi0, k)
-        shared.append(event(k, projector_onto(state_k, f"psi{k}")))
+    shared = unitary_family(psi0, grid, schedule).histories[0].events[:-1]
     histories = []
     for vec, label in zip(basis, labels):
-        final = event(n, projector_onto(vec, label))
-        histories.append(History(tuple(shared) + (final,)))
+        final = event(grid.n_events, projector_onto(vec, label))
+        histories.append(History(shared + (final,)))
     return Family(psi0, grid, schedule, tuple(histories))
 
 

@@ -33,12 +33,15 @@ Event tokens name a projector and the time it applies at:
   on different subsystems into one event, ``zA1+*xB1-``.
 
 The K embedded in a token must match the token's position on its history
-line. Named states are direction tokens (``z+``), products (``z+*x-``) or
-``singlet``; explicit amplitude lists must be finite and normalized
-(tolerance ``linalg.EPS_INPUT_NORM`` = 1e-6; they are renormalized exactly
-on load). Schedule axes take an ``A``/``B`` suffix on two-spin systems, and
-the segment Hamiltonian is omega times the spin component along the axis;
-omega times the segment's duration must stay finite.
+line; ``1`` carries no K (its factor keeps time index 0). The builder makes
+one ``Event`` per (time, label): ``x1+`` and ``w(1.5707963267948966,0.0)1+``
+at one time share one. Named states are direction tokens (``z+``), products
+(``z+*x-``) or ``singlet``; explicit amplitude lists must be finite and
+normalized (tolerance ``linalg.EPS_INPUT_NORM`` = 1e-6; they are
+renormalized exactly on load). Schedule axes take an ``A``/``B`` suffix on
+two-spin systems, and the segment Hamiltonian is omega times the spin
+component along the axis; omega times the segment's duration must stay
+finite.
 
 Parsing is strict and positional: syntax problems raise :class:`ParseError`
 and semantic ones :class:`ValidationError`, both carrying the line (and
@@ -56,8 +59,9 @@ import numpy as np
 
 from .dynamics import Schedule, Segment, TimeGrid, evolved_state
 from .histories import Event, Family, History
-from .linalg import EPS_INPUT_NORM, Projector, as_projector, identity, normalized, tensor
-from .spin import NAMED_DIRECTIONS, Direction, basis_for, spin_operator
+from .linalg import (EPS_INPUT_NORM, Projector, as_projector, identity, normalized,
+                     projector_onto, tensor)
+from .spin import NAMED_DIRECTIONS, Direction, basis_for, singlet, spin_operator
 
 SUBSYSTEMS = ("A", "B")
 
@@ -97,7 +101,7 @@ class EventFactor:
     """One tensor factor of an event token."""
 
     kind: str  # "identity" | "psi" | "direction"
-    time_index: int
+    time_index: int  # 0 for the identity, which carries no time index
     direction: Direction | None = None
     subsystem: str = ""  # "", "A" or "B"
     sign: int = 0
@@ -549,8 +553,8 @@ def _parse_schedule_section(section, spins: int) -> tuple[SegmentSpec, ...]:
                 f"omega {oms} over [{t_start}, {t_end}) turns the spin by an "
                 "angle too large to represent", ln, c3)
         segments.append(SegmentSpec(t_start, t_end, axis, subsystem, omega))
-    for a, b in zip(sorted(segments, key=lambda s: s.t_start),
-                    sorted(segments, key=lambda s: s.t_start)[1:]):
+    ordered = sorted(segments, key=lambda s: s.t_start)
+    for a, b in zip(ordered, ordered[1:]):
         if b.t_start < a.t_end:
             raise ValidationError(
                 f"overlapping segments: [{a.t_start}, {a.t_end}) and "
@@ -579,19 +583,16 @@ def _parse_history_line(value: str, spins: int, n_events: int, ln: int, base: in
 
 def _positioned_event(tok: str, position: int, spins: int, n_events: int, ln: int,
                       column: int) -> EventSpec:
-    """Parse an event token and pin it to its position on the history line."""
-    fixed = []
-    for f in parse_event_token(tok, spins, ln, column):
-        if f.kind == "identity":
-            fixed.append(EventFactor(kind="identity", time_index=position))
-            continue
-        if f.time_index != position:
-            raise ValidationError(
-                f"event {tok!r} carries time index {f.time_index} but sits at "
-                f"position {position} (grid has {n_events} event times)",
-                ln, column)
-        fixed.append(f)
-    return tuple(fixed)
+    """Parse an event token and check its time index against its position
+    on the history line; the identity token carries none."""
+    spec = parse_event_token(tok, spins, ln, column)
+    f = spec[0]  # parse_event_token rejects mixed time indices
+    if f.kind != "identity" and f.time_index != position:
+        raise ValidationError(
+            f"event {tok!r} carries time index {f.time_index} but sits at "
+            f"position {position} (grid has {n_events} event times)",
+            ln, column)
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -649,8 +650,6 @@ class BuiltScenario:
 
 def _state_vector(state: StateSpec, spins: int) -> np.ndarray:
     if state.kind == "singlet":
-        from .spin import singlet
-
         return singlet()
     if state.kind == "product":
         vecs = [basis_for(d).plus if s > 0 else basis_for(d).minus
@@ -672,15 +671,15 @@ def _embed(matrix: np.ndarray, subsystem: str, spins: int) -> np.ndarray:
 
 def _event_projector(spec: EventSpec, label: str, spins: int, psi0: np.ndarray,
                      grid: TimeGrid, schedule: Schedule) -> Projector:
-    """Certify the product of an event's factors as one projector with the
-    given label; a ``psiK`` factor projects onto psi0 evolved to tK."""
+    """The event's projector, with the given label: for ``psiK`` the
+    projector onto psi0 evolved to tK, made as ``unitary_family`` makes it;
+    otherwise the product of the factors, certified as one projector."""
+    if spec[0].kind == "psi":  # 'psiK' stands alone, see parse_event_token
+        return projector_onto(evolved_state(schedule, grid, psi0, spec[0].time_index), label)
     mat = None
     for f in spec:
         if f.kind == "identity":
             m = identity(2 ** spins)
-        elif f.kind == "psi":
-            v = evolved_state(schedule, grid, psi0, f.time_index)
-            m = np.outer(v, v.conj())
         else:
             b = basis_for(f.direction)
             vec = b.plus if f.sign > 0 else b.minus
@@ -690,8 +689,8 @@ def _event_projector(spec: EventSpec, label: str, spins: int, psi0: np.ndarray,
 
 
 def build_scenario(doc: ScenarioDoc) -> BuiltScenario:
-    """Resolve a parsed document into state, schedule and Family objects; each
-    event spec object is certified once at each time and its Event shared."""
+    """Resolve a parsed document into state, schedule and Family objects; the
+    projector of each (time, label) is made once and its Event shared."""
     dim = 2 ** doc.spins
     psi0 = _state_vector(doc.state, doc.spins)
     grid = TimeGrid(doc.times)
@@ -705,20 +704,17 @@ def build_scenario(doc: ScenarioDoc) -> BuiltScenario:
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 
-    # (time, id of a spec object) -> its Event, so a spec that the parser
-    # shares between histories is certified once; ``doc`` keeps every spec
-    # alive while this runs, so no id is reused
-    by_spec: dict[tuple[int, int], Event] = {}
+    by_label: dict[tuple[int, str], Event] = {}
     families = []
     for fam in doc.families:
         histories = []
         for row, labels in zip(fam.histories, fam.labels):
             events = []
             for position, (spec, label) in enumerate(zip(row, labels), start=1):
-                ev = by_spec.get((position, id(spec)))
+                ev = by_label.get((position, label))
                 if ev is None:
                     proj = _event_projector(spec, label, doc.spins, psi0, grid, schedule)
-                    ev = by_spec[position, id(spec)] = Event(position, proj, label)
+                    ev = by_label[position, label] = Event(position, proj, label)
                 events.append(ev)
             histories.append(History(tuple(events)))
         try:
@@ -754,12 +750,7 @@ _HALF_PI = repr(math.pi / 2)
 
 BUILTIN_SOURCES: dict[str, str] = {}
 
-
-def _builtin(name: str, text: str) -> None:
-    BUILTIN_SOURCES[name] = text
-
-
-_builtin("eq10-born", """\
+BUILTIN_SOURCES["eq10-born"] = """\
 # Born-rule table for a single spin prepared along +z: one two-time family
 # per measurement axis.
 [scenario]
@@ -779,9 +770,9 @@ history = x1-
 [family y-frame]
 history = y1+
 history = y1-
-""")
+"""
 
-_builtin("eq23", """\
+BUILTIN_SOURCES["eq23"] = """\
 # Three-time single-spin family: x alternatives at t1, z alternatives at t2.
 # The two pairs of histories sharing a final event interfere, so the family
 # fails the consistency check.
@@ -798,9 +789,9 @@ history = x1+ z2+
 history = x1+ z2-
 history = x1- z2+
 history = x1- z2-
-""")
+"""
 
-_builtin("eq23-identity-fix", """\
+BUILTIN_SOURCES["eq23-identity-fix"] = """\
 # Same structure with the final events coarse-grained away: the identity at
 # t2 removes the interference and leaves two histories of weight 1/2.
 [scenario]
@@ -814,9 +805,9 @@ times = 0.0 1.0 2.0
 [family eq23-identity-fix]
 history = x1+ 1
 history = x1- 1
-""")
+"""
 
-_builtin("eq23-field-fix", """\
+BUILTIN_SOURCES["eq23-field-fix"] = """\
 # Same events, different dynamics: a y-axis field turns by pi/2 per grid
 # step, so the evolved state passes exactly through |x+> at t1 and |z-> at
 # t2. One history becomes the unitary one; the rest carry no weight.
@@ -835,9 +826,9 @@ history = x1+ z2+
 history = x1+ z2-
 history = x1- z2+
 history = x1- z2-
-""".format(half_pi=_HALF_PI))
+""".format(half_pi=_HALF_PI)
 
-_builtin("eq25-random-directions", """\
+BUILTIN_SOURCES["eq25-random-directions"] = """\
 # Two-time family on the singlet with one arbitrary analyzer direction per
 # side. Families of this shape are consistent whatever the directions.
 [scenario]
@@ -853,9 +844,9 @@ history = w(1.1,0.3)A1+*w(2.0,4.4)B1+
 history = w(1.1,0.3)A1-*w(2.0,4.4)B1+
 history = w(1.1,0.3)A1+*w(2.0,4.4)B1-
 history = w(1.1,0.3)A1-*w(2.0,4.4)B1-
-""")
+"""
 
-_builtin("eq26-unitary", """\
+BUILTIN_SOURCES["eq26-unitary"] = """\
 # The unitary family of the freely evolving singlet: a single history that
 # tracks the evolved state, probability one.
 [scenario]
@@ -868,9 +859,9 @@ named = singlet
 times = 0.0 1.0 2.0
 [family unitary]
 history = psi1 psi2
-""")
+"""
 
-_builtin("eq27-split", """\
+BUILTIN_SOURCES["eq27-split"] = """\
 # Branch the singlet into the two anticorrelated z outcomes at t1 and follow
 # each branch unitarily to t2: two histories of weight 1/2 each.
 [scenario]
@@ -884,9 +875,9 @@ times = 0.0 1.0 2.0
 [family eq27]
 history = zA1+*zB1- zA2+*zB2-
 history = zA1-*zB1+ zA2-*zB2+
-""")
+"""
 
-_builtin("eq28-sixteen", """\
+BUILTIN_SOURCES["eq28-sixteen"] = """\
 # Sixteen histories on the singlet: x_A and z_B alternatives at t1, z_A and
 # x_B alternatives at t2. Histories sharing a final event interfere, so the
 # family is inconsistent.
@@ -915,9 +906,9 @@ history = xA1-*zB1- zA2+*xB2+
 history = xA1-*zB1- zA2-*xB2+
 history = xA1-*zB1- zA2+*xB2-
 history = xA1-*zB1- zA2-*xB2-
-""")
+"""
 
-_builtin("eq29-unitary", """\
+BUILTIN_SOURCES["eq29-unitary"] = """\
 # Single-spin unitary family under a rotating field: the lone history follows
 # the driven state and carries probability one.
 [scenario]
@@ -932,9 +923,9 @@ times = 0.0 1.0 2.0
 segment = 0.0 2.0 y {half_pi}
 [family unitary]
 history = psi1 psi2
-""".format(half_pi=_HALF_PI))
+""".format(half_pi=_HALF_PI)
 
-_builtin("eq30-collapse-x", """\
+BUILTIN_SOURCES["eq30-collapse-x"] = """\
 # Collapse family: follow the evolved state to t1, then branch into the x
 # basis at the final time. Probabilities are the Born weights 1/2, 1/2.
 [scenario]
@@ -948,9 +939,9 @@ times = 0.0 1.0 2.0
 [family collapse-x]
 history = psi1 x2+
 history = psi1 x2-
-""")
+"""
 
-_builtin("cat-analogue", """\
+BUILTIN_SOURCES["cat-analogue"] = """\
 # Spin version of the macroscopic-superposition puzzle: in the z framework
 # the x properties are not even defined; in the x framework they are an
 # honest coin flip. Use 'qhist query' against each family.
@@ -968,9 +959,9 @@ history = z1-
 [family x-frame]
 history = x1+
 history = x1-
-""")
+"""
 
-_builtin("chsh-demo", """\
+BUILTIN_SOURCES["chsh-demo"] = """\
 # The four analyzer settings of the optimal CHSH arrangement, one two-time
 # singlet family per settings pair (angles 0, 90, 45, 135 degrees in the
 # x-z plane). Correlations follow from each family's probabilities.
@@ -1002,7 +993,7 @@ history = xA1+*w(2.356194490192345,0.0)B1+
 history = xA1-*w(2.356194490192345,0.0)B1+
 history = xA1+*w(2.356194490192345,0.0)B1-
 history = xA1-*w(2.356194490192345,0.0)B1-
-""")
+"""
 
 
 def builtin_scenario(name: str) -> ScenarioDoc:

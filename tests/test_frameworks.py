@@ -28,7 +28,13 @@ from qhist.linalg import (
     projector_onto,
     tensor,
 )
-from qhist.scenario import build_scenario, builtin_scenario
+from qhist.scenario import (
+    BUILTIN_SOURCES,
+    build_scenario,
+    builtin_scenario,
+    parse_scenario,
+    proposition_projector,
+)
 from qhist.spin import Direction, X, Y, Z, basis_for, spin_projector
 
 GRID2 = TimeGrid((0.0, 1.0))
@@ -106,6 +112,16 @@ def test_query_splitting_projector_is_meaningless():
     assert not result.meaningful
 
 
+def test_query_splitting_a_scenario_event_is_meaningless():
+    # z2+ covers half of the identity event at t2, so eq23-identity-fix,
+    # which says nothing at t2, has no answer for it
+    built = build_scenario(builtin_scenario("eq23-identity-fix"))
+    projector, time_index = proposition_projector(built, "z2+")
+    result = query(built.family("eq23-identity-fix"), Proposition(projector, time_index))
+    assert not result.meaningful and result.probability is None
+    assert result.reason.startswith("projector 'z2+' splits event '1' at time 2")
+
+
 def test_query_on_inconsistent_family_raises():
     rows = [
         [("x1+", projector_onto(oracles.XP, "x1+")), ("z2+", projector_onto(oracles.ZP, "z2+"))],
@@ -124,6 +140,8 @@ def test_query_validates_time_and_dim():
         query(fam, prop(X, +1, 5))
     with pytest.raises(ValueError, match="dimension"):
         query(fam, Proposition(identity_projector(4), 1))
+    with pytest.raises(ValueError, match="time_index must be >= 1"):
+        Proposition(identity_projector(2), 0)
 
 
 def test_conjunction_of_incompatible_properties_fails():
@@ -154,6 +172,11 @@ def test_conjunction_disjoint_subsystems():
 def test_conjunction_needs_matching_times():
     with pytest.raises(ValueError, match="same time"):
         conjunction(prop(Z, +1, 1), prop(Z, +1, 2))
+
+
+def test_conjunction_needs_matching_dimensions():
+    with pytest.raises(ValueError, match="same dimension"):
+        conjunction(prop(Z, +1, 1), Proposition(identity_projector(4), 1))
 
 
 def test_refine_with_itself_is_identity():
@@ -222,6 +245,25 @@ def test_refine_preserves_query_answers():
     )
 
 
+def test_refine_into_an_inconsistent_family_fails(monkeypatch):
+    # eq23-identity-fix refined by {z2+, z2-} at t2 gives back eq23's four
+    # interfering histories
+    text = BUILTIN_SOURCES["eq23-identity-fix"] + (
+        "[family z2]\nhistory = 1 z2+\nhistory = 1 z2-\n")
+    built = build_scenario(parse_scenario(text))
+    checked = []
+    check = frameworks.check_consistency
+    monkeypatch.setattr(frameworks, "check_consistency",
+                        lambda f, tol: checked.append(f) or check(f, tol))
+    with pytest.raises(IncompatibleFrameworks) as err:
+        refine(built.family("eq23-identity-fix"), built.family("z2"))
+    assert err.value.reason == "inconsistent"
+    eq23 = build_scenario(builtin_scenario("eq23")).family("eq23")
+    products = checked[-1]
+    assert [h.labels for h in products.histories] == [h.labels for h in eq23.histories]
+    assert check_consistency(products) == check_consistency(eq23)
+
+
 def test_refine_certifies_each_event_product_once(rng, monkeypatch):
     # free spin along +z, z analyzers at t1..t4, a random analyzer at t5;
     # refine the coarse-grainings that forget t2 and t4 respectively
@@ -279,3 +321,8 @@ def test_refine_precondition_mismatches():
     )
     with pytest.raises(ValueError, match="initial state"):
         refine(fam, other_state)
+    # eq23-field-fix has eq23-identity-fix's state and grid, and a y field
+    fixes = [build_scenario(builtin_scenario(name)).families[0][1]
+             for name in ("eq23-identity-fix", "eq23-field-fix")]
+    with pytest.raises(ValueError, match="same dynamics"):
+        refine(*fixes)

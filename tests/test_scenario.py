@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from ladder_golden import ladder_text
 from qhist import scenario
-from qhist.histories import check_consistency
+from qhist.histories import check_consistency, collapse_family, unitary_family
 from qhist.linalg import states_equal_up_to_phase
 from qhist.report import (
     render_report_machine,
@@ -205,7 +205,7 @@ def test_each_distinct_event_is_rendered_once(monkeypatch):
         assert len(rendered) == 2 * n  # one analyzer per time, two signs each
 
 
-def test_repeated_tokens_share_one_spec_and_one_event():
+def test_repeated_tokens_share_one_spec_and_one_event(monkeypatch):
     doc = builtin_scenario("eq23")
     rows = doc.families[0].histories
     assert rows[0][0] is rows[1][0] and rows[0][1] is rows[2][1]
@@ -215,6 +215,39 @@ def test_repeated_tokens_share_one_spec_and_one_event():
     assert [x.labels for x in h] == [
         ("x1+", "z2+"), ("x1+", "z2-"), ("x1-", "z2+"), ("x1-", "z2-"),
     ]
+    # two spellings of x1+ are two specs but one event, certified once
+    certified = []
+    certify = scenario.as_projector
+    monkeypatch.setattr(scenario, "as_projector",
+                        lambda m, label: certified.append(label) or certify(m, label))
+    text = BUILTIN_SOURCES["eq23"].replace("history = x1+ z2-",
+                                           "history = w(1.5707963267948966,0.0)1+ z2-")
+    doc = parse_scenario(text)
+    rows = doc.families[0].histories
+    assert rows[0][0] is not rows[1][0] and rows[0][0] == rows[1][0]
+    h = build_scenario(doc).family("eq23").histories
+    assert h[0].events[0] is h[1].events[0]
+    assert [x.labels for x in h] == [
+        ("x1+", "z2+"), ("x1+", "z2-"), ("x1-", "z2+"), ("x1-", "z2-"),
+    ]
+    assert sorted(certified) == ["x1+", "x1-", "z2+", "z2-"]
+
+
+@pytest.mark.parametrize("name", ["eq26-unitary", "eq29-unitary", "eq30-collapse-x"])
+def test_psik_events_are_the_unitary_and_collapse_family_projectors(name):
+    built = build_scenario(builtin_scenario(name))
+    args = (built.initial_state, built.grid, built.schedule)
+    unitary = unitary_family(*args).histories[0].events
+    collapse = collapse_family(*args, np.eye(len(built.initial_state))).histories[0].events
+    psi = {ev.label: ev for _, fam in built.families for h in fam.histories
+           for ev in h.events if ev.label.startswith("psi")}
+    assert psi
+    for label, ev in psi.items():
+        k = ev.time_index
+        assert unitary[k - 1].label == label
+        assert np.array_equal(ev.projector.matrix, unitary[k - 1].projector.matrix)
+        if k < built.grid.n_events:
+            assert np.array_equal(ev.projector.matrix, collapse[k - 1].projector.matrix)
 
 
 def test_build_maps_segment_errors_to_validation_errors():
