@@ -56,7 +56,6 @@ from .histories import (
     chain_kets,
     check_consistency,
     collapse_family,
-    event,
     family_from_event_table,
     history_probability,
     replace_events_with_identity,

@@ -1,12 +1,13 @@
 """The single-framework rule as an API.
 
-A proposition (a projector at a grid time) is only answerable relative to a
-family whose Boolean algebra contains it: the proposition must act as all-or-
-nothing on each of the family's branch events at that time. Otherwise the
-question has no answer in that framework and :func:`query` says so, rather
-than inventing a number. Two propositions combine only if their projectors
-commute, and two families merge only if the combined family is again
-consistent.
+A proposition is a projector at a grid time, the same object as a history's
+event: ``Proposition`` is :class:`histories.Event`. It is only answerable
+relative to a family whose Boolean algebra contains it: the proposition must
+act as all-or-nothing on each of the family's branch events at that time.
+Otherwise the question has no answer in that framework and :func:`query`
+says so, rather than inventing a number. Two propositions combine only if
+their projectors commute, and two families merge only if the combined family
+is again consistent.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .histories import (
     QueryOnInconsistentFamily,
     check_consistency,
 )
-from .linalg import EPS_CONS, EPS_OP, EPS_STATE, Projector, as_projector, commutes, max_abs
+from .linalg import EPS_CONS, EPS_OP, EPS_STATE, as_projector, commutes, max_abs
 
 
 class IncompatibleProperties(Exception):
@@ -36,16 +37,7 @@ class IncompatibleFrameworks(Exception):
         super().__init__(f"{reason}: {detail}" if detail else reason)
 
 
-@dataclass(frozen=True, eq=False)
-class Proposition:
-    """A property asserted at one grid time."""
-
-    projector: Projector
-    time_index: int
-
-    def __post_init__(self):
-        if self.time_index < 1:
-            raise ValueError("proposition time_index must be >= 1")
+Proposition = Event  # a property asserted at one grid time
 
 
 @dataclass(frozen=True)
@@ -119,7 +111,7 @@ def conjunction(p: Proposition, q: Proposition) -> Proposition:
         )
     label = _joint_label(p.projector.label, q.projector.label)
     product = as_projector(p.projector.matrix @ q.projector.matrix, label)
-    return Proposition(product, p.time_index)
+    return Event(product, p.time_index)
 
 
 def _joint_label(a: str, b: str) -> str:
@@ -167,7 +159,7 @@ def refine(f: Family, g: Family, tol: float = EPS_CONS) -> Family:
                     prod = ef.projector.matrix @ eg.projector.matrix
                     label = _joint_label(ef.label, eg.label)
                     products[key] = (
-                        Event(ef.time_index, as_projector(prod, label), label)
+                        Event(as_projector(prod, label), ef.time_index)
                         if max_abs(prod) > EPS_OP else None
                     )
                 if products[key] is None:

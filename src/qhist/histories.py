@@ -1,9 +1,9 @@
 """Projector histories over a pure initial state, and the consistency check
 that decides whether a family of them supports Boolean probabilities.
 
-A history assigns one projector (an "event") to each grid time t1..tn; the
-initial condition at t0 is a pure state. Its amplitude is carried by the
-chain ket
+A history assigns one :class:`Event` (a projector, whose label names the
+event) to each grid time t1..tn; the initial condition at t0 is a pure
+state. Its amplitude is carried by the chain ket
 
     |alpha> = P^(alpha_n) ... P^(alpha_1) |psi0>,
 
@@ -41,7 +41,7 @@ meaningless; asking for them raises :class:`QueryOnInconsistentFamily`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,20 +64,18 @@ class QueryOnInconsistentFamily(Exception):
 
 @dataclass(frozen=True, eq=False)
 class Event:
-    """One projector at one grid time. The label identifies the event; two
-    events at the same time with equal labels must carry equal matrices."""
+    """One projector at one grid time t1..tn, labelled by its projector: a
+    history's event, or a proposition (``frameworks.Proposition`` is this
+    class). Two events at one time with equal labels must carry equal matrices."""
 
-    time_index: int
     projector: Projector
-    label: str
+    time_index: int
+    label: str = field(init=False, repr=False)  # stored: the walk reads it per node
 
     def __post_init__(self):
         if self.time_index < 1:
-            raise ValueError("event time_index must be >= 1 (t0 holds the initial state)")
-
-
-def event(time_index: int, projector: Projector, label: str | None = None) -> Event:
-    return Event(time_index, projector, projector.label if label is None else label)
+            raise ValueError("time_index must be >= 1 (t0 holds the initial state)")
+        object.__setattr__(self, "label", self.projector.label)
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,11 +341,15 @@ def unitary_family(psi0, grid: TimeGrid, schedule: Schedule) -> Family:
     the family is consistent with probability 1 by construction.
     """
     psi0 = _initial_state(psi0)
-    events = []
-    for k in range(1, grid.n_events + 1):
-        state_k = evolved_state(schedule, grid, psi0, k)
-        events.append(event(k, projector_onto(state_k, f"psi{k}")))
-    return Family(psi0, grid, schedule, (History(tuple(events)),))
+    events = _unitary_events(psi0, grid, schedule, grid.n_events)
+    return Family(psi0, grid, schedule, (History(events),))
+
+
+def _unitary_events(psi0, grid: TimeGrid, schedule: Schedule, n: int) -> tuple[Event, ...]:
+    return tuple(
+        Event(projector_onto(evolved_state(schedule, grid, psi0, k), f"psi{k}"), k)
+        for k in range(1, n + 1)
+    )
 
 
 def collapse_family(
@@ -377,10 +379,10 @@ def collapse_family(
     if labels is None:
         labels = tuple(f"e{k}" for k in range(dim))
 
-    shared = unitary_family(psi0, grid, schedule).histories[0].events[:-1]
+    shared = _unitary_events(psi0, grid, schedule, grid.n_events - 1)
     histories = []
     for vec, label in zip(basis, labels):
-        final = event(grid.n_events, projector_onto(vec, label))
+        final = Event(projector_onto(vec, label), grid.n_events)
         histories.append(History(shared + (final,)))
     return Family(psi0, grid, schedule, tuple(histories))
 
@@ -393,13 +395,10 @@ def replace_events_with_identity(f: Family, time_index: int) -> Family:
     """
     if not 1 <= time_index <= f.grid.n_events:
         raise ValueError(f"time index {time_index} outside 1..{f.grid.n_events}")
-    one = identity_projector(f.dim)
+    one = Event(identity_projector(f.dim), time_index)
     merged: dict[tuple[str, ...], History] = {}
     for h in f.histories:
-        events = tuple(
-            event(ev.time_index, one) if ev.time_index == time_index else ev
-            for ev in h.events
-        )
+        events = tuple(one if ev.time_index == time_index else ev for ev in h.events)
         new = History(events)
         merged.setdefault(new.labels, new)
     return Family(f.initial_state, f.grid, f.schedule, tuple(merged.values()))
@@ -414,7 +413,7 @@ def family_from_event_table(
     """Build a family from per-history rows of (label, projector) pairs.
 
     ``None`` stands for the identity projector; rows follow the grid's event
-    times in order.
+    times in order. Each event's projector is relabelled with its row label.
     """
     psi0 = _initial_state(psi0)
     one = identity_projector(psi0.shape[0])
@@ -423,6 +422,6 @@ def family_from_event_table(
         events = []
         for k, (label, proj) in enumerate(row, start=1):
             proj = one if proj is None else proj
-            events.append(Event(k, proj, label))
+            events.append(Event(replace(proj, label=label), k))
         histories.append(History(tuple(events)))
     return Family(psi0, grid, schedule, tuple(histories))

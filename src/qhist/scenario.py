@@ -714,7 +714,7 @@ def build_scenario(doc: ScenarioDoc) -> BuiltScenario:
                 ev = by_label.get((position, label))
                 if ev is None:
                     proj = _event_projector(spec, label, doc.spins, psi0, grid, schedule)
-                    ev = by_label[position, label] = Event(position, proj, label)
+                    ev = by_label[position, label] = Event(proj, position)
                 events.append(ev)
             histories.append(History(tuple(events)))
         try:

@@ -36,3 +36,22 @@ def test_benchmark_targets_and_calls_are_bound(monkeypatch):
     assert looked_up
     for module, attr in sorted(looked_up):
         assert hasattr(importlib.import_module(f"qhist.{module}"), attr), f"{module}.{attr}"
+
+
+def test_tracer_reads_events_pairs_and_report_bytes(monkeypatch):
+    # the objects a --trace 1 run reads: h.events, ev.time_index, ev.label,
+    # len(result.violating_pairs) and the rendered report
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    from qhist import frameworks, report, scenario
+
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        built = scenario.build_scenario(scenario.builtin_scenario("eq28-sixteen"))
+        text = report.render_report_machine(report.run_scenario(built))
+        cat = scenario.build_scenario(scenario.builtin_scenario("cat-analogue"))
+        prop = frameworks.Proposition(*scenario.proposition_projector(cat, "x1+"))
+        frameworks.query(cat.family("z-frame"), prop)
+    assert tracer.distinct_events() == 12  # 8 in eq28-sixteen, 4 in cat-analogue
+    assert tracer.violating_pairs == 24
+    assert tracer.report_bytes == len(text.encode())

@@ -97,6 +97,14 @@ def test_tol_must_be_finite_and_positive(tol, qhist):
     assert "finite and positive" in result.stderr
 
 
+@pytest.mark.parametrize("args", [("check", "f", "--tol", "abc"), ("chsh", "a", "b", "c", "d")])
+def test_non_numbers_exit_2(args, qhist):
+    result = qhist(*args)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "not a number: " in result.stderr
+
+
 def test_non_finite_amplitude_exits_2(tmp_path, qhist):
     path = tmp_path / "nan.scenario"
     path.write_text(

@@ -108,6 +108,7 @@ def test_schedules_equal():
     assert schedules_equal(a, b)
     assert not schedules_equal(a, c)
     assert not schedules_equal(a, Schedule.free(2))
+    assert not schedules_equal(a, Schedule(dim=2, segments=(Segment(0.0, 2.0, oracles.SY),)))
 
 
 def test_two_spin_schedule_propagator():

@@ -52,6 +52,22 @@ def prop(direction, sign, time_index, label=""):
     return Proposition(spin_projector(direction, sign, label), time_index)
 
 
+def test_a_proposition_is_an_event_labelled_by_its_projector():
+    import qhist
+    from qhist.histories import Event
+
+    assert Proposition is Event
+    assert not hasattr(qhist, "event")
+    x_plus = prop(X, +1, 1, "x+")
+    assert x_plus.label == x_plus.projector.label == "x+"
+    assert conjunction(x_plus, x_plus).label == "x+"
+    rows = [[("x1+", spin_projector(X, +1, "x+"))], [("x1-", spin_projector(X, -1, "x-"))]]
+    fam = family_from_event_table(oracles.ZP, GRID2, FREE2, rows)
+    assert [h.events[0].projector.label for h in fam.histories] == ["x1+", "x1-"]
+    for _, built in build_scenario(builtin_scenario("eq28-sixteen")).families:
+        assert all(ev.label == ev.projector.label for h in built.histories for ev in h.events)
+
+
 def test_query_within_framework():
     result = query(frame_family(X), prop(X, +1, 1, "x+"))
     assert result.meaningful

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from qhist import histories
+from qhist import dynamics, histories
 from qhist.dynamics import Schedule, Segment, TimeGrid
 from qhist.histories import (
     Event,
@@ -18,13 +18,12 @@ from qhist.histories import (
     chain_kets,
     check_consistency,
     collapse_family,
-    event,
     family_from_event_table,
     history_probability,
     replace_events_with_identity,
     unitary_family,
 )
-from qhist.linalg import EPS_CONS, projector_onto
+from qhist.linalg import EPS_CONS, identity_projector, projector_onto
 from qhist.scenario import build_scenario, builtin_scenario
 from qhist.spin import Direction, X, Z, basis_for, singlet, spin_operator, spin_projector
 
@@ -230,7 +229,8 @@ def test_history_probability_on_split_family():
 
 def test_history_probability_rejects_foreign_history():
     fam = eq23_family()
-    other = History((event(1, ZP_PROJ, "nope"), event(2, ZP_PROJ, "z2+")))
+    other = History((Event(replace(ZP_PROJ, label="nope"), 1),
+                     Event(replace(ZP_PROJ, label="z2+"), 2)))
     with pytest.raises(ValueError, match="not part"):
         history_probability(other, fam)
 
@@ -240,8 +240,9 @@ def test_history_index_matches_label_sequences():
     for i, h in enumerate(fam.histories):
         assert fam.history_index(History(tuple(h.events))) == i
     for foreign in (
-        History((event(1, ZP_PROJ, "nope"), event(2, ZP_PROJ, "z2+"))),
-        History((event(1, XP_PROJ, "x1+"),)),
+        History((Event(replace(ZP_PROJ, label="nope"), 1),
+                 Event(replace(ZP_PROJ, label="z2+"), 2))),
+        History((Event(replace(XP_PROJ, label="x1+"), 1),)),
     ):
         with pytest.raises(ValueError, match="not part"):
             fam.history_index(foreign)
@@ -295,6 +296,18 @@ def test_collapse_family_tilted_basis(rng):
         assert check_consistency(fam).probabilities == pytest.approx(expected, abs=1e-10)
 
 
+def test_collapse_family_evolves_the_state_to_t_n_minus_1_once(monkeypatch):
+    # psi1..psi3 take one propagator each; the branching at t4 takes none
+    ends = []
+    propagator = dynamics.propagator
+    monkeypatch.setattr(dynamics, "propagator",
+                        lambda s, t_a, t_b: ends.append(t_b) or propagator(s, t_a, t_b))
+    grid = TimeGrid((0.0, 1.0, 2.0, 3.0, 4.0))
+    fam = collapse_family(oracles.ZP, grid, FREE2, [oracles.XP, oracles.XM])
+    assert ends == [1.0, 2.0, 3.0]
+    assert fam.histories[0].labels == ("psi1", "psi2", "psi3", "e0")
+
+
 def test_collapse_family_rejects_bad_basis():
     with pytest.raises(ValueError, match="orthonormal"):
         collapse_family(oracles.ZP, GRID3, FREE2, [oracles.ZP, oracles.ZP])
@@ -309,6 +322,9 @@ def test_collapse_family_rejects_bad_basis():
 def test_replace_events_with_identity_coarse_grains_eq23():
     coarse = replace_events_with_identity(eq23_family(), 2)
     assert len(coarse.histories) == 2
+    for k in (0, 3):
+        with pytest.raises(ValueError, match=f"time index {k} outside 1..2"):
+            replace_events_with_identity(eq23_family(), k)
     report = check_consistency(coarse)
     assert report.consistent
     assert report.probabilities == pytest.approx((0.5, 0.5), abs=EPS_CONS)
@@ -418,8 +434,19 @@ def test_family_validation_errors():
             oracles.ZP,
             GRID2,
             FREE2,
-            (History((Event(2, ZP_PROJ, "z+"),)),),
+            (History((Event(ZP_PROJ, 2),)),),
         )
+    with pytest.raises(ValueError, match="time_index must be >= 1"):
+        Event(ZP_PROJ, 0)
+    one_event = (History((Event(ZP_PROJ, 1),)),)
+    with pytest.raises(ValueError, match="schedule dim 4 != state dim 2"):
+        Family(oracles.ZP, GRID2, Schedule.free(4), one_event)
+    with pytest.raises(ValueError, match="at least one event time"):
+        Family(oracles.ZP, TimeGrid((0.0,)), FREE2, (History(()),))
+    with pytest.raises(ValueError, match="at least one history"):
+        Family(oracles.ZP, GRID2, FREE2, ())
+    with pytest.raises(ValueError, match="event '1' has dim 4, state has dim 2"):
+        Family(oracles.ZP, GRID2, FREE2, (History((Event(identity_projector(4), 1),)),))
 
 
 def test_zero_probability_histories_are_harmless():

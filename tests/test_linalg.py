@@ -10,6 +10,7 @@ from qhist.linalg import (
     EPS_NORM,
     EPS_OP,
     Projector,
+    as_operator,
     as_projector,
     commutes,
     identity,
@@ -222,6 +223,12 @@ def test_operators_reject_non_finite_entries():
             as_projector(bad, "q")
         with pytest.raises(ValueError, match="non-finite"):
             commutes(bad, identity(2))
+
+
+def test_operators_must_be_square():
+    for shape in ((2, 3), (2,), (0, 0)):
+        with pytest.raises(ValueError, match=rf"expected a square operator, got shape \({shape[0]},"):
+            as_operator(np.zeros(shape))
 
 
 def test_commutes_same_basis():

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from qhist.report import (
 )
 from qhist.scenario import (
     BUILTIN_SOURCES,
+    FamilySpec,
     ParseError,
     ScenarioDoc,
     SegmentSpec,
@@ -248,6 +250,143 @@ def test_psik_events_are_the_unitary_and_collapse_family_projectors(name):
         assert np.array_equal(ev.projector.matrix, unitary[k - 1].projector.matrix)
         if k < built.grid.n_events:
             assert np.array_equal(ev.projector.matrix, collapse[k - 1].projector.matrix)
+
+
+TWO_SPINS = (("spins = 1", "spins = 2"), ("named = z+", "named = singlet"))
+
+
+def _schedule(segment: str) -> tuple[tuple[str, str], ...]:
+    return (("[family f]", f"[schedule]\n{segment}\n[family f]"),)
+
+
+def _token(tok: str) -> tuple[tuple[str, str], ...]:
+    return (("history = z1+", f"history = {tok}"),)
+
+
+# (edits of MINIMAL, error class, message fragment, line, column)
+MINIMAL_ERRORS = {
+    # event tokens, at the first history line's token
+    "not-a-number": (_token("w(a,0)1+"), ParseError, "theta: 'a' is not a number", 10, 11),
+    "not-finite": (_token("w(inf,0)1+"), ValidationError, "theta: 'inf' is not finite", 10, 11),
+    "unterminated-w": (_token("w(1,0"), ParseError, "unterminated 'w(' direction", 10, 11),
+    "no-sign": (_token("z1x"), ParseError, "token 'z1x' must end in a sign", 10, 11),
+    "empty-factor": (_token("z1+*"), ParseError, "empty factor in event token 'z1+*'", 10, 11),
+    "joined-identity": (_token("1*z1+"), ParseError, "'1' and 'psiK' stand alone", 10, 11),
+    "mixed-times": (TWO_SPINS + (("history = z1+\nhistory = z1-", "history = zA1+*xB2+"),),
+                    ValidationError, "mixes time indices [1, 2]", 10, 11),
+    "bad-psi": (_token("psix"), ParseError, "bad evolved-state token 'psix'", 10, 11),
+    "no-time-index": (_token("z+"), ParseError, "token 'z+' needs a time index and a sign",
+                      10, 11),
+    "bad-state-factor": ((("named = z+", "named = z+1"),), ParseError,
+                         "state factor 'z+1' must be <direction><sign>", 6, None),
+    # layout
+    "unterminated-header": ((("[grid]", "[grid"),), ParseError,
+                            "unterminated section header", 7, None),
+    "unknown-section": ((("[grid]", "[grids]"),), ParseError, "unknown section [grids]", 7, None),
+    "unnamed-family": ((("[family f]", "[family]"),), ParseError,
+                       "family section needs a name", 9, None),
+    "section-argument": ((("[grid]", "[grid x]"),), ParseError,
+                         "section [grid] takes no argument", 7, None),
+    "content-before-header": ((("[scenario]", "name = x\n[scenario]"),), ParseError,
+                              "content before the first section header", 1, None),
+    "no-equals": ((("history = z1-", "history z1-"),), ParseError,
+                  "expected 'key = value'", 11, None),
+    "single-unknown-key": ((("name = demo", "title = demo"),), ParseError,
+                           "unknown key 'title' in [scenario]", 2, None),
+    "single-missing-key": ((("name = demo\n", ""),), ParseError,
+                           "section [scenario] needs 'name = ...'", 1, None),
+    "single-duplicate-key": ((("name = demo", "name = demo\nname = other"),), ParseError,
+                             "duplicate 'name' in [scenario]", 3, None),
+    "duplicate-section": ((("[family f]", "[grid]\ntimes = 0.0 1.0\n[family f]"),),
+                          ParseError, "duplicate section [grid]", 9, None),
+    # reported at the [scenario] header, not at the 'name' line
+    "bad-scenario-name": ((("name = demo", "name = de mo"),), ValidationError,
+                          "bad scenario name 'de mo'", 1, None),
+    "bad-family-name": ((("[family f]", "[family f[g]"),), ValidationError,
+                        "bad family name 'f[g'", 9, None),
+    "no-family": ((("[family f]\nhistory = z1+\nhistory = z1-\n", ""),), ParseError,
+                  "scenario needs at least one [family <name>] section", 1, None),
+    "family-unknown-key": ((("history = z1-", "story = z1-"),), ParseError,
+                           "unknown key 'story' in [family f]", 11, None),
+    "family-without-histories": ((("history = z1-\n", "history = z1-\n[family g]\n"),),
+                                 ParseError, "family 'g' has no histories", 12, None),
+    # [state]
+    "state-no-entry": ((("named = z+\n", ""),), ParseError,
+                       "section [state] needs 'named = ...' or 'amplitudes = ...'", 5, None),
+    "state-two-entries": ((("named = z+", "named = z+\nnamed = z-"),), ParseError,
+                          "section [state] takes exactly one entry", 7, None),
+    "state-unknown-key": ((("named = z+", "state = z+"),), ParseError,
+                          "unknown key 'state' in [state]", 6, None),
+    "amplitude-count": ((("named = z+", "amplitudes = 1+0j"),), ValidationError,
+                        "expected 2 amplitudes for 1 spin(s), got 1", 6, None),
+    "bad-amplitude": ((("named = z+", "amplitudes = 1+0j abc"),), ParseError,
+                      "bad complex amplitude 'abc'", 6, 19),
+    "state-factor-count": ((("named = z+", "named = z+*x-"),), ValidationError,
+                           "state 'z+*x-' has 2 factor(s), system has 1 spin(s)", 6, None),
+    # [grid]
+    "one-time": ((("times = 0.0 1.0", "times = 0.0"),), ValidationError,
+                 "grid needs at least two times (t0 and t1)", 8, None),
+    "times-not-increasing": ((("times = 0.0 1.0", "times = 1.0 0.0"),), ValidationError,
+                             "grid times must be strictly increasing: (1.0, 0.0)", 8, None),
+    # [schedule]
+    "schedule-unknown-key": (_schedule("segments = 0.0 1.0 y 1.0"), ParseError,
+                             "unknown key 'segments' in [schedule]", 10, None),
+    "segment-arity": (_schedule("segment = 0.0 1.0 y"), ParseError,
+                      "segment needs 't_start t_end axis omega'", 10, None),
+    "empty-segment": (_schedule("segment = 1.0 1.0 y 1.0"), ValidationError,
+                      "segment interval [1.0, 1.0) is empty", 10, None),
+    "bad-axis": (_schedule("segment = 0.0 1.0 yC 1.0"), ParseError,
+                 "bad axis token 'yC'", 10, 19),
+    "untagged-axis": (TWO_SPINS + _schedule("segment = 0.0 1.0 y 1.0"), ValidationError,
+                      "two-spin schedules must tag the axis with A or B", 10, None),
+}
+
+
+@pytest.mark.parametrize("edits, cls, fragment, line, column",
+                         MINIMAL_ERRORS.values(), ids=MINIMAL_ERRORS.keys())
+def test_each_input_error_names_its_line_and_column(edits, cls, fragment, line, column):
+    text = MINIMAL
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new, 1)
+    with pytest.raises(cls) as err:
+        parse_scenario(text)
+    assert type(err.value) is cls
+    assert fragment in str(err.value)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_build_maps_family_errors_to_validation_errors():
+    # a hand-made document can repeat a row, which the parser rejects
+    doc = parse_scenario(MINIMAL)
+    (fam,) = doc.families
+    repeated = replace(doc, families=(FamilySpec(fam.name, fam.histories[:1] * 2),))
+    with pytest.raises(ValidationError, match=r"family 'f': duplicate history \('z1\+',\)"):
+        build_scenario(repeated)
+
+
+PRODUCT_STATE = MINIMAL.replace("spins = 1", "spins = 2").replace(
+    "named = z+", "named = z+*x-").split("[family f]")[0]
+
+
+@pytest.mark.parametrize("first, second, expected", [
+    ("z", "x", (0.0, 1.0, 0.0, 0.0)),
+    ("x", "z", (0.25, 0.25, 0.25, 0.25)),
+])
+def test_two_spin_product_state(first, second, expected):
+    rows = [f"{first}A1{a}*{second}B1{b}" for a in "+-" for b in "+-"]
+    text = PRODUCT_STATE + "[family f]\n" + "".join(f"history = {r}\n" for r in rows)
+    built = build_scenario(parse_scenario(text))
+    psi0 = np.kron(oracles.ZP, oracles.XM)
+    assert states_equal_up_to_phase(built.initial_state, psi0)
+    kets = {("z", "+"): oracles.ZP, ("z", "-"): oracles.ZM,
+            ("x", "+"): oracles.XP, ("x", "-"): oracles.XM}
+    oracle = [abs(np.vdot(np.kron(kets[first, a], kets[second, b]), psi0)) ** 2
+              for a in "+-" for b in "+-"]
+    report = check_consistency(built.family("f"))
+    assert report.consistent
+    assert np.allclose(report.probabilities, oracle, rtol=0, atol=1e-12)
+    assert np.allclose(report.probabilities, expected, rtol=0, atol=1e-12)
 
 
 def test_build_maps_segment_errors_to_validation_errors():

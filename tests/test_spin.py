@@ -154,6 +154,8 @@ def test_born_rule_rejects_bad_input():
         born_probability(np.array([1.0, 1.0]), Z, +1)
     with pytest.raises(ValueError, match="sign"):
         born_probability(oracles.ZP, Z, 0)
+    with pytest.raises(ValueError, match="sign must be"):
+        spin_projector(Z, 0)
 
 
 def test_singlet_amplitudes():
