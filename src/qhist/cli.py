@@ -23,8 +23,8 @@ import math
 import sys
 from itertools import islice
 
-from . import bell
-from .frameworks import Proposition, query
+# bell and frameworks are imported by the verbs that use them (chsh, query),
+# so the other verbs' processes do not load them
 from .histories import QueryOnInconsistentFamily, history_probability
 from .linalg import EPS_CONS
 from .report import render_report_machine, render_report_text, round12, run_scenario
@@ -101,6 +101,8 @@ def _cmd_prob(args) -> int:
 
 
 def _cmd_query(args) -> int:
+    from .frameworks import Proposition, query
+
     built = build_scenario(_read_scenario(args.file))
     family = built.family(args.family)
     projector, time_index = proposition_projector(built, args.event)
@@ -121,6 +123,8 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_chsh(args) -> int:
+    from . import bell
+
     a, ap, b, bp = (Direction(math.radians(x), 0.0) for x in args.angles)
     settings = {"E(a,b)": (a, b), "E(a,b')": (a, bp), "E(a',b)": (ap, b), "E(a',b')": (ap, bp)}
     pairs = {k: bell.correlation(bell.Settings(*v)) for k, v in settings.items()}
@@ -251,7 +255,3 @@ def main(argv: list[str] | None = None) -> int:
     except (ScenarioError, QueryOnInconsistentFamily) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, ScenarioError) else EXIT_INCONSISTENT
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

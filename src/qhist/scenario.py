@@ -401,9 +401,9 @@ def _assemble(sections) -> ScenarioDoc:
                              expected=(f"[{required}]",))
 
     _, ln, entries = by_kind["scenario"]
-    name, _, _ = _single(entries, "name", "scenario", ln)
+    name, name_ln, _ = _single(entries, "name", "scenario", ln)
     if not name or any(ch.isspace() or ch in "[]" for ch in name):
-        raise ValidationError(f"bad scenario name {name!r}", ln)
+        raise ValidationError(f"bad scenario name {name!r}", name_ln)
 
     _, ln, entries = by_kind["system"]
     spins_text, spins_ln, _ = _single(entries, "spins", "system", ln)

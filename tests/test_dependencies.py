@@ -1,5 +1,5 @@
-"""numpy is qhist's only runtime dependency: importing the package and its
-CLI loads no scipy, and pyproject.toml declares numpy alone."""
+"""numpy is qhist's only runtime dependency: the package, every name it
+exports and its CLI load no scipy, and pyproject.toml declares numpy alone."""
 
 import os
 import re
@@ -13,7 +13,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_importing_qhist_and_its_cli_loads_no_scipy():
-    code = ("import sys, qhist, qhist.cli; print(qhist.__file__); "
+    # the package imports its modules lazily, so resolve every name first
+    code = ("import sys, qhist, qhist.cli; [getattr(qhist, n) for n in qhist.__all__]; "
+            "print(qhist.__file__); "
             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
     path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -299,9 +299,8 @@ MINIMAL_ERRORS = {
                              "duplicate 'name' in [scenario]", 3, None),
     "duplicate-section": ((("[family f]", "[grid]\ntimes = 0.0 1.0\n[family f]"),),
                           ParseError, "duplicate section [grid]", 9, None),
-    # reported at the [scenario] header, not at the 'name' line
     "bad-scenario-name": ((("name = demo", "name = de mo"),), ValidationError,
-                          "bad scenario name 'de mo'", 1, None),
+                          "bad scenario name 'de mo'", 2, None),
     "bad-family-name": ((("[family f]", "[family f[g]"),), ValidationError,
                         "bad family name 'f[g'", 9, None),
     "no-family": ((("[family f]\nhistory = z1+\nhistory = z1-\n", ""),), ParseError,
