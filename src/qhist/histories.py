@@ -23,13 +23,19 @@ A family is a valid sample space (a "framework") when two conditions hold:
 * orthogonality: all pairwise overlaps <alpha|beta> vanish, so the histories
   do not interfere.
 
-Both come from one walk of that prefix tree. Each node's ket is multiplied
-once, by the Heisenberg projectors of the events branching off it; the
-leaves are the N chain kets, stacked as the rows of K, and the exhaustiveness
-test is taken at the inner nodes on the same pass. All overlaps then follow
-as one matrix, the decoherence functional D = K^dag K with
-D[a, b] = <alpha_a|alpha_b> (Gell-Mann & Hartle, Phys. Rev. D 47, 3345
-(1993)); its real diagonal holds the probabilities, and the family is
+Both come from one walk of that prefix tree, which a Family lays out level
+by level when it is made (``Family._tree``). The walk goes one event time at
+a time: it conjugates that time's distinct events back to t0 at once, and
+forms every ket of the level in one batched product of each node's event
+with its parent's ket. The last level's kets are the N chain kets, the rows
+of K. For each inner node with ket |chi> the walk also keeps ||chi|| and the
+residual ||sum_c P^_c chi - chi|| over its children. That record holds no
+tolerance: :func:`check_consistency` reads the exhaustiveness verdict off it
+for the ``tol`` it is given, where a node whose norm, or an ancestor's, is at
+most ``tol`` is dead and not tested. All overlaps then follow as one
+matrix, the decoherence functional D = K^dag K with D[a, b] =
+<alpha_a|alpha_b> (Gell-Mann & Hartle, Phys. Rev. D 47, 3345 (1993)); its
+real diagonal holds the probabilities, and the family is
 orthogonal when no entry above the diagonal exceeds ``tol`` (Griffiths,
 J. Stat. Phys. 36, 219 (1984)). :func:`chain_kets` returns K; the verdict
 keeps its pairs as an :class:`OverlapPairs`, which the report writes as is.
@@ -70,7 +76,7 @@ class Event:
 
     projector: Projector
     time_index: int
-    label: str = field(init=False, repr=False)  # stored: the walk reads it per node
+    label: str = field(init=False, repr=False)  # stored: Family reads it per event
 
     def __post_init__(self):
         if self.time_index < 1:
@@ -80,16 +86,16 @@ class Event:
 
 @dataclass(frozen=True, eq=False)
 class History:
-    """Ordered events, one per grid time t1..tn (identity events allowed)."""
+    """Ordered events, one per grid time t1..tn (identity events allowed),
+    and their labels, stored once."""
 
     events: tuple[Event, ...]
+    labels: tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "events", tuple(self.events))
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(ev.label for ev in self.events)
+        events = tuple(self.events)
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "labels", tuple(ev.label for ev in events))
 
 
 def _initial_state(psi0) -> np.ndarray:
@@ -117,6 +123,14 @@ class Family:
     _branches: tuple[dict[str, Projector], ...] = field(init=False, repr=False)
     # label sequence -> position of the history that carries it
     _positions: dict[tuple[str, ...], int] = field(init=False, repr=False)
+    # the event-prefix tree, level by level: node 0 is the root, the nodes at
+    # t1 follow, then those at t2, and so on. Within a level, ids follow first
+    # appearance, so a parent's children keep the order of the histories, and
+    # the nodes at t_n are the histories themselves, in order. Held as
+    # (parent, code, starts): for node i + 1, its parent's id and the position
+    # of its event in its time's _branches; then the first id of each level,
+    # and the node count.
+    _tree: tuple[np.ndarray, np.ndarray, tuple[int, ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
         state = _initial_state(self.initial_state).copy()
@@ -136,34 +150,59 @@ class Family:
             raise ValueError("family needs at least one history")
 
         branches = tuple({} for _ in range(n))
+        codes = tuple({} for _ in range(n))  # label -> its position in branches
+        nodes = tuple({} for _ in range(n - 1))  # (parent id, label) -> inner node id
+        parent_ids = tuple([] for _ in range(n))
+        event_codes = tuple([] for _ in range(n))
         positions: dict[tuple[str, ...], int] = {}
         for h in self.histories:
             if len(h.events) != n:
                 raise ValueError(
                     f"history {h.labels} has {len(h.events)} events, grid has {n} event times"
                 )
+            node = 0
             for k, ev in enumerate(h.events, start=1):
                 if ev.time_index != k:
                     raise ValueError(
                         f"history {h.labels}: event {k} carries time index {ev.time_index}"
                     )
-                if ev.projector.dim != dim:
-                    raise ValueError(
-                        f"event {ev.label!r} has dim {ev.projector.dim}, state has dim {dim}"
-                    )
-                known = branches[k - 1].setdefault(ev.label, ev.projector)
-                if known is ev.projector:  # one certified object shared by many histories
-                    continue
-                if max_abs(known.matrix - ev.projector.matrix) > EPS_OP:
-                    raise ValueError(
-                        f"label {ev.label!r} at time {k} bound to two different projectors"
-                    )
+                label, projector = ev.label, ev.projector
+                known = branches[k - 1].get(label)
+                if known is not projector:  # else one certified object shared by many histories
+                    if projector.dim != dim:
+                        raise ValueError(
+                            f"event {label!r} has dim {projector.dim}, state has dim {dim}"
+                        )
+                    if known is None:
+                        branches[k - 1][label] = projector
+                        codes[k - 1][label] = len(codes[k - 1])
+                    elif max_abs(known.matrix - projector.matrix) > EPS_OP:
+                        raise ValueError(
+                            f"label {label!r} at time {k} bound to two different projectors"
+                        )
+                if k < n:
+                    child = nodes[k - 1].get((node, label))
+                    if child is not None:
+                        node = child
+                        continue
+                    nodes[k - 1][node, label] = len(parent_ids[k - 1])
+                # a new node; at t_n every history is one (duplicates fail below)
+                parent_ids[k - 1].append(node)
+                event_codes[k - 1].append(codes[k - 1][label])
+                node = len(parent_ids[k - 1]) - 1
             labels = h.labels
             if labels in positions:
                 raise ValueError(f"duplicate history {labels}")
             positions[labels] = len(positions)
         object.__setattr__(self, "_branches", branches)
         object.__setattr__(self, "_positions", positions)
+        starts = [0, 1]
+        for ids in parent_ids:
+            starts.append(starts[-1] + len(ids))
+        parent = np.concatenate([np.add(ids, start, dtype=np.intp)
+                                 for ids, start in zip(parent_ids, starts)])
+        code = np.concatenate([np.array(c, dtype=np.intp) for c in event_codes])
+        object.__setattr__(self, "_tree", (_read_only(parent), _read_only(code), tuple(starts)))
 
     @property
     def dim(self) -> int:
@@ -250,49 +289,63 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _norm(v: np.ndarray) -> float:
-    """||v||, without np.linalg.norm's per-call overhead on a short vector."""
-    return math.sqrt(np.vdot(v, v).real)
+def _norms(v: np.ndarray) -> np.ndarray:
+    """||row|| of each row of v, each summed as np.vdot sums one vector."""
+    return np.sqrt(np.matmul(v.conj()[:, None, :], v[:, :, None])[:, 0, 0].real)
 
 
-def _walk(f: Family, tol: float = EPS_CONS) -> tuple[np.ndarray, bool]:
-    """One walk of the event-prefix tree: the N x dim array of chain kets, one
-    row per history, and whether every live node passes the exhaustiveness
-    test. A node whose ket has norm <= tol is dead: it carries no probability,
-    so neither it nor anything below it is tested, but its kets are still
-    computed."""
+@dataclass(frozen=True, eq=False)
+class _Walk:
+    """What one walk of the event-prefix tree finds, before any ``tol`` is
+    applied: K, and for each inner node (ids as in ``Family._tree``) the norm
+    of its ket chi and its exhaustiveness residual ||sum_c P^_c chi - chi||.
+    ``parent`` and ``starts`` are the family's tree."""
+
+    kets: np.ndarray
+    norms: np.ndarray
+    residuals: np.ndarray
+    parent: np.ndarray
+    starts: tuple[int, ...]
+
+    def exhaustive(self, tol: float) -> bool:
+        """Whether every live inner node passes the exhaustiveness test. A
+        node is dead when its norm, or an ancestor's, is <= tol: it carries
+        no probability, so it is not tested. NaN fails both tests."""
+        passed = self.residuals <= tol
+        if passed.all():
+            return True
+        dead = self.norms <= tol
+        for lo, hi in zip(self.starts[1:-2], self.starts[2:-1]):  # t1..t_{n-1}, in order
+            dead[lo:hi] |= dead[self.parent[lo - 1:hi - 1]]
+        return bool(passed[~dead].all())
+
+
+def _walk(f: Family) -> _Walk:
+    """One walk of the event-prefix tree, one event time at a time: the kets
+    of a level are their parents' kets times the Heisenberg projectors of
+    their events, formed in one batched product."""
+    parent, code, starts = f._tree
+    kets = np.empty((starts[-1], f.dim), dtype=complex)
+    kets[0] = f.initial_state
     t0 = f.grid.times[0]
-    hei = []
     for k, branches in enumerate(f._branches, start=1):
         u = propagator(f.schedule, t0, f.grid.time_at(k))
-        hei.append({label: u.conj().T @ p.matrix @ u for label, p in branches.items()})
-    n = f.grid.n_events
-    kets = np.empty((len(f.histories), f.dim), dtype=complex)
-    exhaustive = True
-    # nodes still to visit: (histories through the node, its depth, its ket,
-    # whether it lies below a dead node)
-    stack = [(list(range(len(f.histories))), 0, f.initial_state, False)]
-    while stack:
-        indices, depth, chi, dead = stack.pop()
-        if depth == n:
-            kets[indices[0]] = chi  # labels are unique, so a leaf is one history
-            continue
-        groups: dict[str, list[int]] = {}
-        for i in indices:
-            groups.setdefault(f.histories[i].events[depth].label, []).append(i)
-        children = [(hei[depth][label] @ chi, idx) for label, idx in groups.items()]
-        dead = dead or _norm(chi) <= tol
-        if exhaustive and not dead:
-            exhaustive = _norm(sum(child for child, _ in children) - chi) <= tol  # NaN fails
-        stack.extend((idx, depth + 1, child, dead) for child, idx in children)
-    return kets, exhaustive
+        hei = u.conj().T @ np.stack([p.matrix for p in branches.values()]) @ u
+        lo, hi = starts[k], starts[k + 1]
+        at = slice(lo - 1, hi - 1)
+        kets[lo:hi] = np.matmul(hei[code[at]], kets[parent[at]][..., None])[..., 0]
+    inner = starts[-2]
+    chi = kets[:inner]
+    total = np.zeros_like(chi)
+    np.add.at(total, parent, kets[1:])  # each node's children, in order, as sum() adds them
+    return _Walk(kets[inner:], _norms(chi), _norms(total - chi), parent, starts)
 
 
 def chain_kets(f: Family) -> np.ndarray:
     """K: the N x dim array whose row a is the chain ket |alpha_a> =
     P^(alpha_n) ... P^(alpha_1)|psi0> of ``f.histories[a]`` (may be zero, is
     not normalized), from one walk. Overlaps are K.conj() @ K.T."""
-    return _walk(f)[0]
+    return _walk(f).kets
 
 
 def check_consistency(f: Family, tol: float = EPS_CONS) -> ConsistencyReport:
@@ -305,7 +358,9 @@ def check_consistency(f: Family, tol: float = EPS_CONS) -> ConsistencyReport:
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    kets, exhaustive = _walk(f, tol)
+    walk = _walk(f)
+    kets = walk.kets
+    exhaustive = walk.exhaustive(tol)
     overlaps = kets.conj() @ kets.T  # D = K^dag K
     probabilities = _read_only(overlaps.diagonal().real.copy())
     rows, cols = np.nonzero(np.triu(~(np.abs(overlaps) <= tol), 1))  # NaN violates

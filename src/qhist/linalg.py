@@ -91,9 +91,12 @@ def tensor(a, b) -> np.ndarray:
     b = np.asarray(b, dtype=complex)
     if a.ndim != b.ndim or a.ndim not in (1, 2):
         raise ValueError("tensor expects two vectors or two square operators")
-    if a.ndim == 2:
-        a, b = as_operator(a), as_operator(b)
-    return np.kron(a, b)
+    if a.ndim == 1:
+        return (a[:, None] * b[None, :]).reshape(-1)
+    a, b = as_operator(a), as_operator(b)
+    # entry ((i, k), (j, l)) is the single product a[i, j] * b[k, l], as in np.kron
+    dim = a.shape[0] * b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(dim, dim)
 
 
 def identity(dim: int) -> np.ndarray:

@@ -639,6 +639,8 @@ class BuiltScenario:
     grid: TimeGrid
     schedule: Schedule
     families: tuple[tuple[str, Family], ...]
+    # (time index, label) -> the Event the families share
+    _by_label: dict[tuple[int, str], Event] = field(default_factory=dict, repr=False)
 
     def family(self, name: str) -> Family:
         for known, fam in self.families:
@@ -721,14 +723,15 @@ def build_scenario(doc: ScenarioDoc) -> BuiltScenario:
             families.append((fam.name, Family(psi0, grid, schedule, tuple(histories))))
         except ValueError as exc:
             raise ValidationError(f"family {fam.name!r}: {exc}") from exc
-    return BuiltScenario(doc, psi0, grid, schedule, tuple(families))
+    return BuiltScenario(doc, psi0, grid, schedule, tuple(families), by_label)
 
 
 def proposition_projector(built: BuiltScenario, token: str):
     """Resolve an event token against a built scenario, for framework queries.
 
     Returns (projector, time_index). The token must carry its own time index,
-    so the bare identity token is rejected here.
+    so the bare identity token is rejected here. A token the scenario's
+    families already use at that time resolves to their certified projector.
     """
     spec = parse_event_token(token, built.doc.spins)
     if spec[0].kind == "identity":  # '1' stands alone, see parse_event_token
@@ -739,7 +742,11 @@ def proposition_projector(built: BuiltScenario, token: str):
     if not 1 <= time_index <= n:
         raise ValidationError(
             f"event {token!r} carries time index {time_index}, grid has event times 1..{n}")
-    return _event_projector(spec, render_event(spec), built.doc.spins, built.initial_state,
+    label = render_event(spec)
+    known = built._by_label.get((time_index, label))
+    if known is not None:
+        return known.projector, time_index
+    return _event_projector(spec, label, built.doc.spins, built.initial_state,
                             built.grid, built.schedule), time_index
 
 

@@ -3,7 +3,10 @@
 Everything here is deliberately written from first principles on raw numpy
 arrays (outer products, closed-form 2x2 exponentials, explicit operator
 strings) and never calls into qhist's propagator/chain-ket machinery, so the
-two sides of each comparison stay independent.
+two sides of each comparison stay independent. The one exception is
+:func:`per_node_walk`, the reference for the arithmetic of qhist's batched
+walk: it takes qhist's families and propagators, and visits the prefix tree
+one node at a time.
 """
 
 from __future__ import annotations
@@ -83,3 +86,41 @@ def unit(theta: float, phi: float) -> np.ndarray:
 def random_direction(rng: np.random.Generator) -> tuple[float, float]:
     """Uniform direction on the sphere as (theta, phi)."""
     return math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2.0 * math.pi)
+
+
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(np.vdot(v, v).real)
+
+
+def per_node_walk(f, tol: float) -> tuple[np.ndarray, bool]:
+    """Walk a qhist Family's event-prefix tree one node at a time: the N x dim
+    array of chain kets, and whether every live node passes the exhaustiveness
+    test ||sum_c P^_c chi - chi|| <= tol. A node whose ket has norm <= tol is
+    dead, and so is everything below it; dead nodes are not tested."""
+    from qhist.dynamics import propagator
+
+    t0 = f.grid.times[0]
+    hei = []
+    for k in range(1, f.grid.n_events + 1):
+        u = propagator(f.schedule, t0, f.grid.time_at(k))
+        hei.append({label: u.conj().T @ p.matrix @ u
+                    for label, p in f._branches[k - 1].items()})
+    n = f.grid.n_events
+    kets = np.empty((len(f.histories), f.dim), dtype=complex)
+    exhaustive = True
+    # (histories through the node, its depth, its ket, whether it lies below a dead node)
+    stack = [(list(range(len(f.histories))), 0, f.initial_state, False)]
+    while stack:
+        indices, depth, chi, dead = stack.pop()
+        if depth == n:
+            kets[indices[0]] = chi  # labels are unique, so a leaf is one history
+            continue
+        groups: dict[str, list[int]] = {}
+        for i in indices:
+            groups.setdefault(f.histories[i].events[depth].label, []).append(i)
+        children = [(hei[depth][label] @ chi, idx) for label, idx in groups.items()]
+        dead = dead or _norm(chi) <= tol
+        if exhaustive and not dead:
+            exhaustive = _norm(sum(child for child, _ in children) - chi) <= tol  # NaN fails
+        stack.extend((idx, depth + 1, child, dead) for child, idx in children)
+    return kets, exhaustive

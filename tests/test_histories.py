@@ -248,6 +248,15 @@ def test_history_index_matches_label_sequences():
             fam.history_index(foreign)
 
 
+def test_a_history_stores_its_labels_once():
+    events = eq23_family().histories[1].events
+    h = History(list(events))
+    assert h.events == events and h.labels == ("x1+", "z2-")
+    assert h.labels is h.labels  # made at construction, not on each read
+    with pytest.raises(TypeError):
+        History(events, labels=("a", "b"))
+
+
 def test_unitary_family_free_spin():
     fam = unitary_family(oracles.ZP, GRID3, FREE2)
     (hist,) = fam.histories

@@ -104,6 +104,26 @@ def test_tensor_associative_generic(rng):
 def test_tensor_rejects_mixed_kinds():
     with pytest.raises(ValueError):
         tensor(oracles.ZP, oracles.I2)
+    with pytest.raises(ValueError, match="two vectors or two square operators"):
+        tensor(oracles.I2, oracles.ZP)
+    with pytest.raises(ValueError, match="two vectors or two square operators"):
+        tensor(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError, match="square operator"):
+        tensor(np.zeros((2, 3)), oracles.I2)
+    with pytest.raises(ValueError, match="non-finite"):
+        tensor(oracles.I2, np.full((2, 2), math.nan))
+
+
+def test_tensor_is_bitwise_np_kron(rng):
+    # each entry is one product a[i] * b[j], as np.kron forms it
+    for _ in range(200):
+        u, v = (rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(2))
+        a, b = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2))
+        for x, y in ((u, v), (a, b), (oracles.I2, a), (b, oracles.I2)):
+            got, want = tensor(x, y), np.kron(x, y)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    assert tensor([1, 0], [0, 1]).dtype == complex  # lists are coerced to complex
 
 
 def test_projector_onto_z_plus():

@@ -666,3 +666,28 @@ def test_proposition_projector_resolution():
         proposition_projector(built, "1")
     with pytest.raises(ValidationError, match="time index"):
         proposition_projector(built, "x7+")
+
+
+def test_proposition_projector_reuses_the_families_events(monkeypatch):
+    built = build_scenario(builtin_scenario("eq28-sixteen"))
+    unshared = replace(built, _by_label={})  # every token built and certified anew
+    certified = []
+    certify = scenario.as_projector
+    monkeypatch.setattr(scenario, "as_projector",
+                        lambda m, label="": certified.append(label) or certify(m, label))
+    first = built.families[0][1].histories[0]
+    for token, event in zip(first.labels, first.events):
+        projector, time_index = proposition_projector(built, token)
+        assert projector is event.projector and time_index == event.time_index
+    assert certified == []
+    # the same projector under another label is a foreign token
+    assert proposition_projector(built, "zB1+*xA1+")[0].label == "zB1+*xA1+"
+    assert proposition_projector(built, "yA2-")[0].label == "yA2-"
+    assert certified == ["zB1+*xA1+", "yA2-"]
+    for token in (*first.labels, "zA2-*xB2-", "zB1+*xA1+", "yA2-"):
+        (got, k), (want, k_want) = (proposition_projector(b, token) for b in (built, unshared))
+        assert (got.label, k) == (want.label, k_want)
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+    collapse = build_scenario(builtin_scenario("eq30-collapse-x"))
+    psi1 = collapse.families[0][1].histories[0].events[0]
+    assert proposition_projector(collapse, "psi1") == (psi1.projector, 1)

@@ -1,0 +1,275 @@
+"""The batched walk of the event-prefix tree against the per-node walk it
+replaced (``oracles.per_node_walk``): the same chain kets bit for bit, and the
+same exhaustiveness verdict at every tolerance, on families of every shape
+the engine builds. Then the walk's record, read at several tolerances."""
+
+import itertools
+import math
+import random
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import oracles
+from ladder_golden import ladder_text
+from qhist.dynamics import Schedule, Segment, TimeGrid
+from qhist.frameworks import refine
+from qhist.histories import (
+    _walk,
+    chain_kets,
+    check_consistency,
+    collapse_family,
+    family_from_event_table,
+    replace_events_with_identity,
+)
+from qhist.linalg import as_projector, identity, tensor
+from qhist.scenario import build_scenario, builtin_scenario, parse_scenario
+from qhist.spin import Direction, spin_operator, spin_projector
+
+TOLS = (1e-12, 1e-9, 1e-3, 0.3)
+
+
+def _direction(rng: random.Random) -> Direction:
+    return Direction(math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2.0 * math.pi))
+
+
+def _grid(n: int) -> TimeGrid:
+    return TimeGrid(tuple(float(k) for k in range(n + 1)))
+
+
+def _ladders():
+    for n in range(1, 9):
+        text = ladder_text(random.Random(100 + n), n)
+        yield f"ladder-{n}", build_scenario(parse_scenario(text)).families[0][1]
+
+
+def _z_rows(n: int, final: Direction):
+    """z analyzers at t1..t(n-1) and ``final`` at tn, every sign sequence."""
+    z = {s: spin_projector(Direction(0.0, 0.0), s) for s in (1, -1)}
+    w = {s: spin_projector(final, s) for s in (1, -1)}
+    for signs in itertools.product((1, -1), repeat=n):
+        row = [(f"z{k}{'+-'[s < 0]}", z[s]) for k, s in enumerate(signs[:-1], 1)]
+        yield row + [(f"w{n}{'+-'[signs[-1] < 0]}", w[signs[-1]])]
+
+
+def _z_ladders():
+    """A free spin along +z: every branch below a z- is dead (weight 0)."""
+    rng = random.Random(7)
+    eps = 6e-10
+    tilted = (oracles.ZP + eps * oracles.ZM) / math.sqrt(1.0 + eps * eps)
+    for n in (2, 3, 5):
+        rows = list(_z_rows(n, _direction(rng)))
+        yield f"z-ladder-{n}", family_from_event_table(oracles.ZP, _grid(n), Schedule.free(2), rows)
+        # a live branch missing: the first row's node loses a child of weight > 0
+        yield f"z-ladder-{n}-live-cut", family_from_event_table(
+            oracles.ZP, _grid(n), Schedule.free(2), rows[1:])
+        # with 6e-10 of z- in psi0, the all-minus prefix has norm 6e-10, and
+        # three identity events below it leave it the residual 1.2e-9: it
+        # fails at tol 1e-12, and at 1e-9 only its death keeps the family
+        # exhaustive
+        minus = [r for r in rows if all(label.endswith("-") for label, _ in r[:-1])]
+        overlap = [r for r in rows if r[:-1] != minus[0][:-1]]
+        overlap += [minus[0][:-1] + [(label, None)] for label in "abc"]
+        yield f"z-ladder-{n}-overlap", family_from_event_table(
+            tilted, _grid(n), Schedule.free(2), overlap)
+
+
+def _singlet_products():
+    """Two-spin singlet families, one analyzer per side at each time."""
+    rng = random.Random(11)
+    for n in (1, 2):
+        sides = [[{s: spin_projector(_direction(rng), s).matrix for s in (1, -1)} for _ in "AB"]
+                 for _ in range(n)]
+        rows = []
+        for signs in itertools.product(itertools.product((1, -1), repeat=2), repeat=n):
+            row = []
+            for k, ((a, b), (pa, pb)) in enumerate(zip(signs, sides), 1):
+                label = f"a{k}{'+-'[a < 0]}*b{k}{'+-'[b < 0]}"
+                row.append((label, as_projector(tensor(pa[a], pb[b]))))
+            rows.append(row)
+        field = Segment(0.0, float(n), 1.3 * tensor(spin_operator(_direction(rng)), identity(2)))
+        yield f"singlet-{n}", family_from_event_table(
+            oracles.SINGLET, _grid(n), Schedule(4, (field,)), rows)
+    yield "eq28-sixteen", build_scenario(builtin_scenario("eq28-sixteen")).families[0][1]
+    for name, fam in build_scenario(builtin_scenario("chsh-demo")).families:
+        yield f"chsh-demo-{name}", fam
+
+
+def _collapses():
+    """psiK events up to t(n-1), then a random basis at tn."""
+    rng = random.Random(13)
+    for n in (1, 2, 4):
+        field = Segment(0.0, float(n), 2.1 * spin_operator(_direction(rng)))
+        u = oracles.haar_unitary(np.random.default_rng(n), 2)
+        yield f"collapse-{n}", collapse_family(
+            oracles.random_state(np.random.default_rng(n + 1), 2), _grid(n),
+            Schedule(2, (field,)), [u[:, 0], u[:, 1]])
+    yield "eq30-collapse-x", build_scenario(builtin_scenario("eq30-collapse-x")).families[0][1]
+    yield "eq29-unitary", build_scenario(builtin_scenario("eq29-unitary")).families[0][1]
+
+
+def _scattered():
+    """Partial families listed so that one node's children are not adjacent:
+    sign sequences ordered by their last sign first, some left out."""
+    rng = random.Random(17)
+    for n in (2, 3, 4):
+        dirs = [_direction(rng) for _ in range(n)]
+        proj = [{s: spin_projector(d, s) for s in (1, -1)} for d in dirs]
+        field = Segment(0.0, float(n), 1.7 * spin_operator(_direction(rng)))
+        order = sorted(itertools.product((1, -1), repeat=n), key=lambda s: s[::-1])
+        rows = [[(f"d{k}{'+-'[s < 0]}", proj[k - 1][s]) for k, s in enumerate(signs, 1)]
+                for signs in order]
+        for keep in (rows, rows[::2] + rows[1::4]):
+            yield f"scattered-{n}-{len(keep)}", family_from_event_table(
+                oracles.random_state(np.random.default_rng(n), 2), _grid(n),
+                Schedule(2, (field,)), keep)
+
+
+def _refinements():
+    rng = random.Random(19)
+    for n in (2, 3, 4):
+        fam = family_from_event_table(oracles.ZP, _grid(n), Schedule.free(2),
+                                      list(_z_rows(n, _direction(rng))))
+        yield f"refine-z-{n}", refine(replace_events_with_identity(fam, 1),
+                                      replace_events_with_identity(fam, n))
+    sides = build_scenario(parse_scenario("\n".join([
+        "[scenario]", "name = sides", "[system]", "spins = 2", "[state]", "named = singlet",
+        "[grid]", "times = 0.0 1.0", "[family A]", "history = xA1+", "history = xA1-",
+        "[family B]", "history = w(0.5,0.25)B1+", "history = w(0.5,0.25)B1-",
+    ]) + "\n"))
+    yield "refine-singlet", refine(sides.family("A"), sides.family("B"))
+
+
+def _families():
+    yield from _ladders()
+    yield from _z_ladders()
+    yield from _singlet_products()
+    yield from _collapses()
+    yield from _scattered()
+    yield from _refinements()
+
+
+FAMILIES = list(_families())
+
+
+@pytest.mark.parametrize("name, fam", FAMILIES, ids=[name for name, _ in FAMILIES])
+def test_batched_walk_equals_the_per_node_walk(name, fam):
+    kets = chain_kets(fam)
+    record = _walk(fam)
+    for tol in TOLS:
+        want_kets, want_exhaustive = oracles.per_node_walk(fam, tol)
+        assert kets.dtype == want_kets.dtype and kets.shape == want_kets.shape
+        assert kets.tobytes() == want_kets.tobytes()
+        assert record.exhaustive(tol) is want_exhaustive, tol
+        assert check_consistency(fam, tol).exhaustive is want_exhaustive, tol
+
+
+def test_the_walk_families_reach_every_verdict():
+    # the comparison above is not vacuous: among the families and tolerances
+    # are failed residuals, failed residuals that only dead nodes carry, and
+    # consistent and inconsistent verdicts
+    counts = dict.fromkeys(("exhaustive", "not exhaustive", "saved by dead nodes",
+                            "consistent", "inconsistent"), 0)
+    for _, fam in FAMILIES:
+        record = _walk(fam)
+        for tol in TOLS:
+            exhaustive = record.exhaustive(tol)
+            counts["exhaustive" if exhaustive else "not exhaustive"] += 1
+            counts["saved by dead nodes"] += exhaustive and not (record.residuals <= tol).all()
+            consistent = check_consistency(fam, tol).consistent
+            counts["consistent" if consistent else "inconsistent"] += 1
+    assert all(counts.values()), counts
+
+
+def test_the_tree_numbers_nodes_level_by_level_in_first_appearance():
+    p = {s: spin_projector(Direction(0.0, 0.0), s) for s in (1, -1)}
+    rows = [[("a+", p[1]), ("b+", p[1])],
+            [("a-", p[-1]), ("b+", p[1])],
+            [("a+", p[1]), ("b-", p[-1])]]
+    fam = family_from_event_table(oracles.ZP, _grid(2), Schedule.free(2), rows)
+    parent, code, starts = fam._tree
+    assert starts == (0, 1, 3, 6)
+    assert parent.tolist() == [0, 0, 1, 2, 1]  # a+'s children are not adjacent
+    assert code.tolist() == [0, 1, 0, 0, 1]
+    assert parent.dtype == code.dtype == np.intp
+    assert list(fam._branches[1]) == ["b+", "b-"]
+
+
+def _record_family():
+    """psi0 = z+ + 1e-4 z- over three times. Below z1- z2-, three labels
+    name the one projector z3-, so that node, of norm 1e-4, has the residual
+    ||3 chi - chi|| = 2e-4; every other node is exhaustive."""
+    eps = 1e-4
+    psi0 = (oracles.ZP + eps * oracles.ZM) / math.sqrt(1.0 + eps * eps)
+    z = {s: spin_projector(Direction(0.0, 0.0), s) for s in (1, -1)}
+    rows = []
+    for s1, s2 in itertools.product((1, -1), repeat=2):
+        head = [(f"z1{'+-'[s1 < 0]}", z[s1]), (f"z2{'+-'[s2 < 0]}", z[s2])]
+        tails = "abc" if (s1, s2) == (-1, -1) else "+-"
+        rows += [head + [(f"z3{t}", z[-1] if t in "abc-" else z[1])] for t in tails]
+    return family_from_event_table(psi0, _grid(3), Schedule.free(2), rows)
+
+
+def test_one_record_answers_every_tolerance():
+    fam = _record_family()
+    record = _walk(fam)
+    parent, _, starts = fam._tree
+    assert record.parent is parent and record.starts == starts
+    assert record.norms.shape == record.residuals.shape == (starts[-2],)
+    # the node z1- z2- is the last inner node; its residual sits at t2, after
+    # the levels above it have passed
+    late = starts[-2] - 1
+    assert record.norms[late] == pytest.approx(1e-4, rel=1e-12)
+    assert record.residuals[late] == pytest.approx(2e-4, rel=1e-12)
+    others = np.delete(record.residuals, late)
+    assert (others <= 1e-15).all()
+    verdicts = {
+        1e-12: False,   # the node is live and its residual fails
+        5e-5: False,    # still live, still failing
+        1.5e-4: True,   # the node is dead (norm <= tol), so it is not tested
+        3e-4: True,     # the node is live, and its residual passes
+    }
+    for tol, exhaustive in verdicts.items():
+        assert record.exhaustive(tol) is exhaustive, tol
+        assert oracles.per_node_walk(fam, tol)[1] is exhaustive, tol
+        assert check_consistency(fam, tol).exhaustive is exhaustive, tol
+
+
+def test_a_dead_ancestor_kills_its_subtree():
+    fam = _record_family()
+    record = _walk(fam)
+    late = record.starts[-2] - 1
+    z1_minus = record.parent[late - 1]  # the parent of z1- z2-
+    assert record.norms[z1_minus] == pytest.approx(1e-4, rel=1e-12)
+    # give the failing node a norm of its own above tol: its ancestor z1- is
+    # still dead at 1.5e-4, so the node is not tested
+    norms = record.norms.copy()
+    norms[late] = 1.0
+    assert replace(record, norms=norms).exhaustive(1.5e-4)
+    norms[z1_minus] = 1.0
+    assert not replace(record, norms=norms).exhaustive(1.5e-4)
+
+
+def test_nan_in_the_record_fails_closed():
+    fam = _record_family()
+    record = _walk(fam)
+    residuals = record.residuals.copy()
+    residuals[0] = math.nan  # at the root, of norm 1: live at every tol here
+    for tol in TOLS:
+        assert not replace(record, residuals=residuals).exhaustive(tol)
+    norms = record.norms.copy()
+    norms[:] = math.nan  # a NaN norm is not dead, so the late residual is tested
+    assert not replace(record, norms=norms).exhaustive(1.5e-4)
+
+
+def test_every_residual_is_computed_past_a_failure():
+    fam = _record_family()
+    rows = [[(ev.label, ev.projector) for ev in h.events] for h in fam.histories]
+    # drop z1+'s z2+ branch: the first failure is at depth 1, before the late one
+    cut = family_from_event_table(fam.initial_state, fam.grid, fam.schedule,
+                                  [r for r in rows if [e for e, _ in r[:2]] != ["z1+", "z2+"]])
+    record = _walk(cut)
+    assert np.isfinite(record.residuals).all()
+    assert (record.residuals > 1e-3).sum() == 1 and (record.residuals > 1e-5).sum() == 2
+    assert not record.exhaustive(1.5e-4)
