@@ -50,7 +50,7 @@ _EXPORTS = {
     ),
     "report": (
         "Report", "render_report_machine", "render_report_text", "report_from_dict",
-        "report_to_dict", "run_scenario",
+        "run_scenario",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

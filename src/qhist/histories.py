@@ -25,17 +25,19 @@ A family is a valid sample space (a "framework") when two conditions hold:
 
 Both come from one walk of that prefix tree, which a Family lays out level
 by level when it is made (``Family._tree``). The walk goes one event time at
-a time: it conjugates that time's distinct events back to t0 at once, and
-forms every ket of the level in one batched product of each node's event
-with its parent's ket. The last level's kets are the N chain kets, the rows
-of K. For each inner node with ket |chi> the walk also keeps ||chi|| and the
-residual ||sum_c P^_c chi - chi|| over its children. That record holds no
-tolerance: :func:`check_consistency` reads the exhaustiveness verdict off it
-for the ``tol`` it is given, where a node whose norm, or an ancestor's, is at
-most ``tol`` is dead and not tested. All overlaps then follow as one
-matrix, the decoherence functional D = K^dag K with D[a, b] =
-<alpha_a|alpha_b> (Gell-Mann & Hartle, Phys. Rev. D 47, 3345 (1993)); its
-real diagonal holds the probabilities, and the family is
+a time, and forms every ket of the level in one batched product of each
+node's Heisenberg event with its parent's ket. Those events depend only on
+the family: its first walk conjugates each time's distinct events back to t0
+at once and keeps the stacks (``Family._heisenberg``), so later walks, at
+any ``tol`` and for any read, call no propagator. The last level's kets are
+the N chain kets, the rows of K. For each inner node with ket |chi> the walk
+also keeps ||chi|| and the residual ||sum_c P^_c chi - chi|| over its
+children. That record holds no tolerance: :func:`check_consistency` reads the
+exhaustiveness verdict off it for the ``tol`` it is given, where a node whose
+norm, or an ancestor's, is at most ``tol`` is dead and not tested. All
+overlaps then follow as one matrix, the decoherence functional D = K^dag K
+with D[a, b] = <alpha_a|alpha_b> (Gell-Mann & Hartle, Phys. Rev. D 47, 3345
+(1993)); its real diagonal holds the probabilities, and the family is
 orthogonal when no entry above the diagonal exceeds ``tol`` (Griffiths,
 J. Stat. Phys. 36, 219 (1984)). :func:`chain_kets` returns K; the verdict
 keeps its pairs as an :class:`OverlapPairs`, which the report writes as is.
@@ -112,7 +114,10 @@ class Family:
     """A candidate framework: shared initial state, grid and dynamics, plus
     the list of member histories. Construction validates shape only; whether
     the family is actually consistent is the verdict of
-    :func:`check_consistency`."""
+    :func:`check_consistency`. The first walk computes the family's
+    Heisenberg events and keeps them; a family made from this one (by
+    ``dataclasses.replace``, ``refine`` or ``replace_events_with_identity``)
+    computes its own."""
 
     initial_state: np.ndarray = field(repr=False)
     grid: TimeGrid
@@ -131,6 +136,10 @@ class Family:
     # of its event in its time's _branches; then the first id of each level,
     # and the node count.
     _tree: tuple[np.ndarray, np.ndarray, tuple[int, ...]] = field(init=False, repr=False)
+    # per event time k (position k - 1): the read-only stack of that time's
+    # events conjugated back to t0, U^dag P U, in _branches order; None until
+    # the first walk computes all of them (see _heisenberg)
+    _heisenberg: tuple[np.ndarray, ...] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         state = _initial_state(self.initial_state).copy()
@@ -320,17 +329,31 @@ class _Walk:
         return bool(passed[~dead].all())
 
 
+def _heisenberg(f: Family) -> tuple[np.ndarray, ...]:
+    """The family's events conjugated back to t0, one read-only stack per
+    event time, in ``_branches`` order. The first call computes every stack
+    (one propagator per event time) and keeps them on the family; a call
+    that raises keeps nothing."""
+    if f._heisenberg is None:
+        t0 = f.grid.times[0]
+        stacks = []
+        for k, branches in enumerate(f._branches, start=1):
+            u = propagator(f.schedule, t0, f.grid.time_at(k))
+            events = np.stack([p.matrix for p in branches.values()])
+            stacks.append(_read_only(u.conj().T @ events @ u))
+        object.__setattr__(f, "_heisenberg", tuple(stacks))
+    return f._heisenberg
+
+
 def _walk(f: Family) -> _Walk:
     """One walk of the event-prefix tree, one event time at a time: the kets
     of a level are their parents' kets times the Heisenberg projectors of
-    their events, formed in one batched product."""
+    their events (the family's stacks, computed on its first walk), formed
+    in one batched product."""
     parent, code, starts = f._tree
     kets = np.empty((starts[-1], f.dim), dtype=complex)
     kets[0] = f.initial_state
-    t0 = f.grid.times[0]
-    for k, branches in enumerate(f._branches, start=1):
-        u = propagator(f.schedule, t0, f.grid.time_at(k))
-        hei = u.conj().T @ np.stack([p.matrix for p in branches.values()]) @ u
+    for k, hei in enumerate(_heisenberg(f), start=1):
         lo, hi = starts[k], starts[k + 1]
         at = slice(lo - 1, hi - 1)
         kets[lo:hi] = np.matmul(hei[code[at]], kets[parent[at]][..., None])[..., 0]

@@ -21,10 +21,10 @@ The machine writer spells a family's numbers as json would spell the
 rounded floats, in one pass (:func:`_json_texts`), and joins those texts
 with the fixed pieces of the layout, so a report of 10^5 pairs costs no
 tree of dicts and no pass of :mod:`json`'s pure-Python indenting encoder;
-its output stays byte for byte ``json.dumps(report_to_dict(r), indent=2)``
-plus a newline. The text writer fills one ``%.12g`` template per pair with
-the snapped floats: ``%.12g`` of ``round12(x)`` is ``%.12g`` of ``x`` for
-every ``|x| >= 1e-12``.
+its output stays byte for byte the ``json.dumps(..., indent=2)`` of the
+layout above, every number rounded by :func:`round12`, plus a newline. The
+text writer fills one ``%.12g`` template per pair with the snapped floats:
+``%.12g`` of ``round12(x)`` is ``%.12g`` of ``x`` for every ``|x| >= 1e-12``.
 """
 
 from __future__ import annotations
@@ -124,27 +124,6 @@ def run_scenario(doc: ScenarioDoc | BuiltScenario, tol: float = EPS_CONS) -> Rep
     return Report(built.doc.name, tuple(results))
 
 
-def report_to_dict(report: Report) -> dict:
-    """The machine form as a tree of dicts, each number rounded by
-    :func:`round12`: the reference the machine writer is tested against."""
-    return {
-        "scenario": report.scenario,
-        "families": [
-            {
-                "name": f.name,
-                "consistent": f.consistent,
-                "exhaustive": f.exhaustive,
-                "violating_pairs": [
-                    {"i": i, "j": j, "re": round12(z.real), "im": round12(z.imag)}
-                    for i, j, z in f.violating_pairs
-                ],
-                "probabilities": [round12(p) for p in f.probabilities],
-            }
-            for f in report.families
-        ],
-    }
-
-
 def _column(rows: list[dict], key: str, dtype) -> np.ndarray:
     return np.fromiter(map(itemgetter(key), rows), dtype, len(rows))
 
@@ -224,7 +203,8 @@ def _family_json(f: FamilyResult) -> list[str]:
 
 
 def render_report_machine(report: Report) -> str:
-    """``json.dumps(report_to_dict(report), indent=2) + "\n"``, written directly."""
+    """The indent=2 ``json.dumps`` of the module docstring's layout, every
+    number rounded by :func:`round12`, plus a newline, written directly."""
     pieces = ['{\n  "scenario": ', json.dumps(report.scenario), ',\n  "families": ']
     for k, f in enumerate(report.families):
         pieces.append(",\n    " if k else "[\n    ")

@@ -3,10 +3,11 @@
 Everything here is deliberately written from first principles on raw numpy
 arrays (outer products, closed-form 2x2 exponentials, explicit operator
 strings) and never calls into qhist's propagator/chain-ket machinery, so the
-two sides of each comparison stay independent. The one exception is
-:func:`per_node_walk`, the reference for the arithmetic of qhist's batched
-walk: it takes qhist's families and propagators, and visits the prefix tree
-one node at a time.
+two sides of each comparison stay independent. Two references take qhist's
+own objects: :func:`per_node_walk`, the reference for the arithmetic of
+qhist's batched walk, takes qhist's families and propagators and visits the
+prefix tree one node at a time; and :func:`report_to_dict`, the reference
+the machine report writer is tested against, reads a ``report.Report``.
 """
 
 from __future__ import annotations
@@ -124,3 +125,27 @@ def per_node_walk(f, tol: float) -> tuple[np.ndarray, bool]:
             exhaustive = _norm(sum(child for child, _ in children) - chi) <= tol  # NaN fails
         stack.extend((idx, depth + 1, child, dead) for child, idx in children)
     return kets, exhaustive
+
+
+def report_to_dict(report) -> dict:
+    """The machine form of a ``qhist.report.Report`` as a tree of dicts, each
+    number rounded by ``report.round12``: ``json.dumps(report_to_dict(r),
+    indent=2)`` plus a newline is what ``render_report_machine`` must write."""
+    from qhist.report import round12
+
+    return {
+        "scenario": report.scenario,
+        "families": [
+            {
+                "name": f.name,
+                "consistent": f.consistent,
+                "exhaustive": f.exhaustive,
+                "violating_pairs": [
+                    {"i": i, "j": j, "re": round12(z.real), "im": round12(z.imag)}
+                    for i, j, z in f.violating_pairs
+                ],
+                "probabilities": [round12(p) for p in f.probabilities],
+            }
+            for f in report.families
+        ],
+    }

@@ -398,6 +398,8 @@ def test_a_phase_too_large_to_represent_raises_instead_of_a_nan_report():
     )
     with pytest.raises(ValueError, match="not finite"):
         check_consistency(fam)
+    with pytest.raises(ValueError, match="not finite"):  # the failed walk kept nothing
+        check_consistency(fam)
 
 
 def test_nan_chain_kets_fail_closed(monkeypatch):

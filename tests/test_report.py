@@ -1,6 +1,6 @@
 """The report writers against their definitions: the machine form is
-``json.dumps(report_to_dict(r), indent=2)`` plus a newline, where
-report_to_dict rounds each number with round12; the text form is the
+``json.dumps(oracles.report_to_dict(r), indent=2)`` plus a newline, where
+``report_to_dict`` rounds each number with round12; the text form is the
 line-by-line loop kept here as the reference; and the machine form reads
 back equal."""
 
@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from qhist import report as report_module
 from qhist.histories import OverlapPairs, check_consistency
 from qhist.report import (
@@ -20,7 +21,6 @@ from qhist.report import (
     render_report_machine,
     render_report_text,
     report_from_dict,
-    report_to_dict,
     round12,
     run_scenario,
 )
@@ -67,7 +67,7 @@ def reference_text(report: Report) -> str:
 
 def assert_writers_match(report: Report) -> None:
     machine = render_report_machine(report)
-    assert machine == json.dumps(report_to_dict(report), indent=2) + "\n"
+    assert machine == json.dumps(oracles.report_to_dict(report), indent=2) + "\n"
     assert render_report_text(report) == reference_text(report)
     assert report_from_dict(json.loads(machine)) == report
 

@@ -16,7 +16,6 @@ from qhist.report import (
     render_report_machine,
     render_report_text,
     report_from_dict,
-    report_to_dict,
     run_scenario,
 )
 from qhist.scenario import (
@@ -597,7 +596,7 @@ def test_psi_tokens_follow_the_schedule():
 def test_run_scenario_eq23_report():
     report = run_scenario(builtin_scenario("eq23"))
     assert report.scenario == "eq23"
-    (fam,) = report_to_dict(report)["families"]
+    (fam,) = oracles.report_to_dict(report)["families"]
     assert not fam["consistent"]
     assert fam["exhaustive"]
     assert [(p["i"], p["j"]) for p in fam["violating_pairs"]] == [(1, 3), (2, 4)]
@@ -606,14 +605,14 @@ def test_run_scenario_eq23_report():
 
 def test_run_scenario_eq27_probabilities():
     report = run_scenario(builtin_scenario("eq27-split"))
-    (fam,) = report_to_dict(report)["families"]
+    (fam,) = oracles.report_to_dict(report)["families"]
     assert fam["consistent"]
     assert fam["probabilities"] == [0.5, 0.5]  # as printed
 
 
 def test_run_scenario_field_fix_probabilities():
     report = run_scenario(builtin_scenario("eq23-field-fix"))
-    (fam,) = report_to_dict(report)["families"]
+    (fam,) = oracles.report_to_dict(report)["families"]
     assert fam["consistent"]
     assert fam["probabilities"] == [0.0, 1.0, 0.0, 0.0]  # as printed
 
@@ -646,7 +645,7 @@ def test_machine_report_round_trip():
     report = run_scenario(builtin_scenario("eq23"))
     text = render_report_machine(report)
     assert report_from_dict(json.loads(text)) == report
-    assert json.loads(text) == report_to_dict(report)
+    assert json.loads(text) == oracles.report_to_dict(report)
 
 
 def test_reports_are_deterministic():

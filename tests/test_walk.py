@@ -1,7 +1,8 @@
 """The batched walk of the event-prefix tree against the per-node walk it
 replaced (``oracles.per_node_walk``): the same chain kets bit for bit, and the
 same exhaustiveness verdict at every tolerance, on families of every shape
-the engine builds. Then the walk's record, read at several tolerances."""
+the engine builds. Then the walk's record, read at several tolerances, and
+the Heisenberg events a family computes on its first walk and keeps."""
 
 import itertools
 import math
@@ -13,14 +14,17 @@ import pytest
 
 import oracles
 from ladder_golden import ladder_text
+from qhist import histories
 from qhist.dynamics import Schedule, Segment, TimeGrid
-from qhist.frameworks import refine
+from qhist.frameworks import Proposition, query, refine
 from qhist.histories import (
+    _heisenberg,
     _walk,
     chain_kets,
     check_consistency,
     collapse_family,
     family_from_event_table,
+    history_probability,
     replace_events_with_identity,
 )
 from qhist.linalg import as_projector, identity, tensor
@@ -155,6 +159,10 @@ FAMILIES = list(_families())
 
 @pytest.mark.parametrize("name, fam", FAMILIES, ids=[name for name, _ in FAMILIES])
 def test_batched_walk_equals_the_per_node_walk(name, fam):
+    _assert_walks_like_the_oracle(fam)
+
+
+def _assert_walks_like_the_oracle(fam):
     kets = chain_kets(fam)
     record = _walk(fam)
     for tol in TOLS:
@@ -273,3 +281,79 @@ def test_every_residual_is_computed_past_a_failure():
     assert np.isfinite(record.residuals).all()
     assert (record.residuals > 1e-3).sum() == 1 and (record.residuals > 1e-5).sum() == 2
     assert not record.exhaustive(1.5e-4)
+
+
+def _compiled_families() -> dict:
+    """Fresh families, never walked: two driven by a field (a unitary family
+    and a psiK collapse family) and a free z-ladder."""
+    rows = list(_z_rows(4, Direction(1.1, 0.3)))
+    return {
+        "eq29-unitary": build_scenario(builtin_scenario("eq29-unitary")).families[0][1],
+        "collapse-4": dict(_collapses())["collapse-4"],
+        "z-ladder-4": family_from_event_table(oracles.ZP, _grid(4), Schedule.free(2), rows),
+    }
+
+
+@pytest.mark.parametrize("name", ["eq29-unitary", "collapse-4", "z-ladder-4"])
+def test_a_family_propagates_each_event_time_once(monkeypatch, name):
+    fam = _compiled_families()[name]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return propagator(*args)
+
+    propagator = histories.propagator
+    monkeypatch.setattr(histories, "propagator", counted)
+    tols = (1e-12, 1e-9, 0.3)
+    reports = [check_consistency(fam, tol) for tol in tols]
+    event = fam.histories[0].events[-1]
+    probability = history_probability(fam.histories[0], fam)
+    answer = query(fam, Proposition(event.projector, event.time_index))
+    kets = chain_kets(fam)
+    assert len(calls) == fam.grid.n_events, name
+    # every read saw the same K, and gave the verdicts of a first read
+    monkeypatch.setattr(histories, "propagator", propagator)
+    assert [check_consistency(fam, tol) for tol in tols] == reports
+    assert probability == reports[0].probabilities[0]
+    weights = reports[0].probabilities.tolist()
+    assert answer.meaningful and answer.probability == sum(
+        w for h, w in zip(fam.histories, weights) if h.events[-1].label == event.label)
+    for tol, report in zip(tols, reports):
+        want_kets, want_exhaustive = oracles.per_node_walk(fam, tol)
+        assert kets.tobytes() == want_kets.tobytes()
+        assert report.exhaustive is want_exhaustive
+        d = want_kets.conj() @ want_kets.T
+        assert report.probabilities.tobytes() == d.diagonal().real.tobytes()
+
+
+def test_families_made_from_a_walked_family_share_none_of_its_events():
+    fam = _compiled_families()["collapse-4"]
+    _assert_walks_like_the_oracle(fam)
+    assert fam._heisenberg is not None
+    field = Segment(0.0, 4.0, 0.7 * spin_operator(Direction(2.0, 1.0)))
+    derived = [
+        replace(fam, schedule=Schedule(2, (field,))),
+        replace(fam, grid=TimeGrid((0.0, 0.5, 1.5, 2.0, 3.0))),
+        replace(fam, initial_state=oracles.XP),
+        replace_events_with_identity(fam, 2),
+        refine(fam, replace_events_with_identity(fam, 4)),
+    ]
+    assert all(other._heisenberg is None for other in derived[:-1])  # refine checks its output
+    for other in derived:
+        _assert_walks_like_the_oracle(other)
+        assert not any(a is b for a in other._heisenberg for b in fam._heisenberg)
+
+
+def test_the_kept_heisenberg_events_are_read_only():
+    fam = _compiled_families()["collapse-4"]
+    stacks = _heisenberg(fam)
+    assert fam._heisenberg is stacks and _heisenberg(fam) is stacks
+    assert len(stacks) == fam.grid.n_events
+    for stack, branches in zip(stacks, fam._branches):
+        assert stack.shape == (len(branches), fam.dim, fam.dim)
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0, 0] = 0.0
+    with pytest.raises(AttributeError):
+        fam._heisenberg = None
