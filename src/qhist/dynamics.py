@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import EPS_OP, _is_hermitian, as_operator, identity, unitary_exp
+from .linalg import EPS_OP, _is_hermitian, as_operator, identity, max_abs, unitary_exp
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ def schedules_equal(a: Schedule, b: Schedule) -> bool:
     for sa, sb in zip(a.segments, b.segments):
         if sa.t_start != sb.t_start or sa.t_end != sb.t_end:
             return False
-        if np.max(np.abs(sa.hamiltonian - sb.hamiltonian)) > EPS_OP:
+        if max_abs(sa.hamiltonian - sb.hamiltonian) > EPS_OP:
             return False
     return True
 

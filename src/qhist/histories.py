@@ -23,12 +23,12 @@ A family is a valid sample space (a "framework") when two conditions hold:
 * orthogonality: all pairwise overlaps <alpha|beta> vanish, so the histories
   do not interfere.
 
-Both come from one walk of that prefix tree, which a Family lays out level
-by level when it is made (``Family._tree``). The walk goes one event time at
-a time, and forms every ket of the level in one batched product of each
-node's Heisenberg event with its parent's ket. Those events depend only on
-the family: its first walk conjugates each time's distinct events back to t0
-at once and keeps the stacks (``Family._heisenberg``), so later walks, at
+Both come from one walk of that prefix tree. A Family lays the tree out when
+it is made, one event time at a time (``Family._tree``), and the walk reads
+it in the same order: it forms every ket of a level in one batched product of
+each node's Heisenberg event with its parent's ket. Those events depend only
+on the family: its first walk conjugates each time's distinct events back to
+t0 at once and keeps the stacks (``Family._heisenberg``), so later walks, at
 any ``tol`` and for any read, call no propagator. The last level's kets are
 the N chain kets, the rows of K. For each inner node with ket |chi> the walk
 also keeps ||chi|| and the residual ||sum_c P^_c chi - chi|| over its
@@ -128,13 +128,13 @@ class Family:
     _branches: tuple[dict[str, Projector], ...] = field(init=False, repr=False)
     # label sequence -> position of the history that carries it
     _positions: dict[tuple[str, ...], int] = field(init=False, repr=False)
-    # the event-prefix tree, level by level: node 0 is the root, the nodes at
-    # t1 follow, then those at t2, and so on. Within a level, ids follow first
-    # appearance, so a parent's children keep the order of the histories, and
-    # the nodes at t_n are the histories themselves, in order. Held as
-    # (parent, code, starts): for node i + 1, its parent's id and the position
-    # of its event in its time's _branches; then the first id of each level,
-    # and the node count.
+    # the event-prefix tree: node 0 is the root, and ids are given as nodes are
+    # made, one level per event time, each level visiting the histories in
+    # order. So the nodes at t1 precede those at t2, a parent's children keep
+    # the histories' order, and the nodes at t_n are the histories, in order.
+    # Held as (parent, code, starts): for node i + 1, its parent's id and the
+    # position of its event in its time's _branches; then the first id of each
+    # level, and the node count.
     _tree: tuple[np.ndarray, np.ndarray, tuple[int, ...]] = field(init=False, repr=False)
     # per event time k (position k - 1): the read-only stack of that time's
     # events conjugated back to t0, U^dag P U, in _branches order; None until
@@ -158,60 +158,50 @@ class Family:
         if not self.histories:
             raise ValueError("family needs at least one history")
 
-        branches = tuple({} for _ in range(n))
-        codes = tuple({} for _ in range(n))  # label -> its position in branches
-        nodes = tuple({} for _ in range(n - 1))  # (parent id, label) -> inner node id
-        parent_ids = tuple([] for _ in range(n))
-        event_codes = tuple([] for _ in range(n))
-        positions: dict[tuple[str, ...], int] = {}
         for h in self.histories:
             if len(h.events) != n:
                 raise ValueError(
                     f"history {h.labels} has {len(h.events)} events, grid has {n} event times"
                 )
-            node = 0
-            for k, ev in enumerate(h.events, start=1):
+        branches = tuple({} for _ in range(n))
+        parent, code, starts = [], [], [0, 1]  # as in _tree, filled level by level
+        above = [0] * len(self.histories)  # each history's node at the level above
+        for k, level in enumerate(branches, start=1):
+            codes: dict[str, int] = {}  # label -> its position in level
+            nodes: dict[tuple[int, str], int] = {}  # (parent id, label) -> node id
+            for i, h in enumerate(self.histories):
+                ev = h.events[k - 1]
                 if ev.time_index != k:
                     raise ValueError(
                         f"history {h.labels}: event {k} carries time index {ev.time_index}"
                     )
                 label, projector = ev.label, ev.projector
-                known = branches[k - 1].get(label)
+                known = level.get(label)
                 if known is not projector:  # else one certified object shared by many histories
                     if projector.dim != dim:
                         raise ValueError(
                             f"event {label!r} has dim {projector.dim}, state has dim {dim}"
                         )
                     if known is None:
-                        branches[k - 1][label] = projector
-                        codes[k - 1][label] = len(codes[k - 1])
+                        level[label] = projector
+                        codes[label] = len(codes)
                     elif max_abs(known.matrix - projector.matrix) > EPS_OP:
                         raise ValueError(
                             f"label {label!r} at time {k} bound to two different projectors"
                         )
-                if k < n:
-                    child = nodes[k - 1].get((node, label))
-                    if child is not None:
-                        node = child
-                        continue
-                    nodes[k - 1][node, label] = len(parent_ids[k - 1])
-                # a new node; at t_n every history is one (duplicates fail below)
-                parent_ids[k - 1].append(node)
-                event_codes[k - 1].append(codes[k - 1][label])
-                node = len(parent_ids[k - 1]) - 1
-            labels = h.labels
-            if labels in positions:
-                raise ValueError(f"duplicate history {labels}")
-            positions[labels] = len(positions)
+                node = nodes.get((above[i], label))
+                if node is None:  # a new node takes the next id
+                    node = nodes[above[i], label] = len(parent) + 1
+                    parent.append(above[i])
+                    code.append(codes[label])
+                elif k == n:  # at t_n a node is a whole history
+                    raise ValueError(f"duplicate history {h.labels}")
+                above[i] = node
+            starts.append(len(parent) + 1)
         object.__setattr__(self, "_branches", branches)
-        object.__setattr__(self, "_positions", positions)
-        starts = [0, 1]
-        for ids in parent_ids:
-            starts.append(starts[-1] + len(ids))
-        parent = np.concatenate([np.add(ids, start, dtype=np.intp)
-                                 for ids, start in zip(parent_ids, starts)])
-        code = np.concatenate([np.array(c, dtype=np.intp) for c in event_codes])
-        object.__setattr__(self, "_tree", (_read_only(parent), _read_only(code), tuple(starts)))
+        object.__setattr__(self, "_positions", {h.labels: i for i, h in enumerate(self.histories)})
+        tree = tuple(_read_only(np.array(ids, dtype=np.intp)) for ids in (parent, code))
+        object.__setattr__(self, "_tree", (*tree, tuple(starts)))
 
     @property
     def dim(self) -> int:

@@ -74,7 +74,11 @@ def inner(u, v) -> complex:
 def normalized(v) -> np.ndarray:
     """Return v / ||v||; rejects (near-)zero vectors."""
     v = as_state(v)
-    n = np.linalg.norm(v)
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(v)
+    if n == np.inf:  # the squared norm overflowed: scale v down first
+        v = v / max(np.abs(v.real).max(), np.abs(v.imag).max())
+        n = np.linalg.norm(v)
     if n < EPS_ZERO:
         raise ValueError("cannot normalize a zero vector")
     return v / n
@@ -151,9 +155,16 @@ class Projector:
         return f"Projector({self.label!r}, dim={self.dim})"
 
 
+def _is_idempotent(m: np.ndarray) -> bool:
+    """Whether a matrix that as_operator has already coerced is idempotent.
+    A product that overflows gives NaN or inf, which fails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return max_abs(m @ m - m) <= EPS_OP
+
+
 def is_projector(m) -> bool:
     m = as_operator(m)
-    return _is_hermitian(m) and max_abs(m @ m - m) <= EPS_OP
+    return _is_hermitian(m) and _is_idempotent(m)
 
 
 def as_projector(m, label: str = "") -> Projector:
@@ -162,7 +173,7 @@ def as_projector(m, label: str = "") -> Projector:
     m = p.matrix
     if not _is_hermitian(m):
         raise ValueError(f"projector {label!r}: matrix is not self-adjoint")
-    if max_abs(m @ m - m) > EPS_OP:
+    if not _is_idempotent(m):
         raise ValueError(f"projector {label!r}: matrix is not idempotent")
     return p
 

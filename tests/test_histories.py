@@ -460,6 +460,20 @@ def test_family_validation_errors():
         Family(oracles.ZP, GRID2, FREE2, (History((Event(identity_projector(4), 1),)),))
 
 
+def test_family_reports_a_wrong_length_before_any_event_fault():
+    wrong_dim = History((Event(identity_projector(4), 1), Event(ZP_PROJ, 2)))
+    too_short = History((Event(ZP_PROJ, 1),))
+    with pytest.raises(ValueError, match=r"\('z\+',\) has 1 events, grid has 2 event times"):
+        Family(oracles.ZP, GRID3, FREE2, (wrong_dim, too_short))
+
+
+def test_family_reports_event_faults_in_time_order_whatever_the_history_order():
+    bad_at_t2 = History((Event(ZP_PROJ, 1), Event(ZP_PROJ, 1)))
+    bad_at_t1 = History((Event(XP_PROJ, 2), Event(XP_PROJ, 2)))
+    with pytest.raises(ValueError, match=r"\('x\+', 'x\+'\): event 1 carries time index 2"):
+        Family(oracles.ZP, GRID3, FREE2, (bad_at_t2, bad_at_t1))
+
+
 def test_zero_probability_histories_are_harmless():
     # a dead branch neither violates orthogonality nor breaks exhaustiveness
     rows = [

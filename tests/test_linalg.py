@@ -274,6 +274,21 @@ def test_is_projector():
     assert not is_projector(np.diag([1.0, 2.0]))
 
 
+def test_a_square_that_overflows_is_not_idempotent():
+    # m @ m - m overflows to NaN, which must fail the test, and warn nothing
+    # (tier-1 turns a RuntimeWarning into an error)
+    m = np.array([[0, 1e200 + 1e200j], [1e200 - 1e200j, 0]])
+    with pytest.raises(ValueError, match="not idempotent"):
+        as_projector(m)
+    assert not is_projector(m)
+
+
+def test_a_vector_whose_squared_norm_overflows_is_normalized():
+    big = [1e200, 0.0]
+    assert projector_onto(big).matrix.tobytes() == projector_onto([1.0, 0.0]).matrix.tobytes()
+    assert states_equal_up_to_phase(big, big)
+
+
 def test_normalized_rejects_zero():
     with pytest.raises(ValueError):
         normalized(np.zeros(3))
