@@ -113,8 +113,10 @@ def max_abs(m) -> float:
 
 
 def _is_hermitian(m: np.ndarray) -> bool:
-    """Whether a matrix that as_operator has already coerced is self-adjoint."""
-    return max_abs(m - m.conj().T) <= EPS_OP
+    """Whether a matrix that as_operator has already coerced is self-adjoint.
+    A difference that overflows gives inf, which fails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return max_abs(m - m.conj().T) <= EPS_OP
 
 
 def commutes(p, q) -> bool:
@@ -123,7 +125,8 @@ def commutes(p, q) -> bool:
     q = as_operator(q)
     if p.shape != q.shape:
         raise ValueError(f"dimension mismatch: {p.shape[0]} vs {q.shape[0]}")
-    return max_abs(p @ q - q @ p) <= EPS_OP
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf or NaN, which fails
+        return max_abs(p @ q - q @ p) <= EPS_OP
 
 
 @dataclass(frozen=True, eq=False)

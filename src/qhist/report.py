@@ -17,14 +17,28 @@ A :class:`FamilyResult` keeps the verdict's own columns: the
 :class:`~qhist.histories.OverlapPairs` of the check and its float array of
 probabilities. Nothing is rounded until a writer runs; the two writers are
 the only place that rounds and formats, and neither makes a tuple per pair.
-The machine writer spells a family's numbers as json would spell the
-rounded floats, in one pass (:func:`_json_texts`), and joins those texts
-with the fixed pieces of the layout, so a report of 10^5 pairs costs no
-tree of dicts and no pass of :mod:`json`'s pure-Python indenting encoder;
-its output stays byte for byte the ``json.dumps(..., indent=2)`` of the
-layout above, every number rounded by :func:`round12`, plus a newline. The
-text writer fills one ``%.12g`` template per pair with the snapped floats:
-``%.12g`` of ``round12(x)`` is ``%.12g`` of ``x`` for every ``|x| >= 1e-12``.
+
+The machine writer makes no Python string per number or per pair. It lays
+out a family's pairs array as one matrix of ASCII bytes, one row per pair:
+the fixed pieces of the layout are the same bytes in every row, numpy
+writes each index and number into its own columns (NUL where a shorter
+text leaves room), and one ``bytes.translate`` drops the NULs. The
+probabilities array is laid out the same way. A number 1e-11 <= |x| < 1 of
+decimal exponent e gets its 12 digits from rint(s), s = |x| * 10**(11 - e):
+the scale is an exact double for e >= -11 and s < 2**40, so s is rounded
+once, by at most 2**-14, and rint(s) is the "%.12g" digit string unless s
+lies within 2**-14 of a half-integer. Its sign, "0." and leading zeros or
+its exponent come from small tables, and its trailing zeros are dropped.
+Every other value goes to the per-value path (:func:`_json_texts`): a
+value with |frac(s) - 1/2| <= 1e-3 (near-ties, with a margin over 2**-14),
+with s outside [1e11, 1e12 - 1) (a wrong decade, or digits that round up
+into the next one), or outside that range (0.0, 1.0, non-finite values and
+every value json spells otherwise than the layout). On seeded ladders that
+is about 0.2% of the numbers. The output stays byte for byte the
+``json.dumps(..., indent=2)`` of the layout above, every number rounded by
+:func:`round12`, plus a newline. The text writer fills one ``%.12g``
+template per pair with the snapped floats: ``%.12g`` of ``round12(x)`` is
+``%.12g`` of ``x`` for every ``|x| >= 1e-12``.
 """
 
 from __future__ import annotations
@@ -57,7 +71,8 @@ def _snapped(a: np.ndarray) -> np.ndarray:
 
 
 def _json_texts(values) -> list[str]:
-    """``json.dumps(round12(x))`` for every value, from one "%.12g" pass.
+    """``json.dumps(round12(x))`` for every value, from one "%.12g" pass:
+    the machine writer's path for the values its number layout leaves out.
 
     Twelve digits survive the round trip through a float, so json's repr of
     a rounded value has its "%.12g" digits; only the layout can differ. It
@@ -150,54 +165,147 @@ def report_from_dict(data: dict) -> Report:
 # pairs array, _FAMILY_MID, its probabilities array and _FAMILY_TAIL. A pair
 # is written as its lead (_PAIR_FIRST for the first pair, _PAIR_NEXT for the
 # others), i, _PAIR_J, j, _PAIR_RE, re, _PAIR_IM and im, and the array ends
-# with _PAIRS_END; the pieces around i and j are attached to the text of
-# each distinct index. The document is joined from these pieces and the
-# columns' texts once, so the text of a large pairs array is copied once.
+# with _PAIRS_END.
 _FAMILY_HEAD = ('{\n      "name": %s,\n      "consistent": %s,\n'
                 '      "exhaustive": %s,\n      "violating_pairs": ')
 _FAMILY_MID = ',\n      "probabilities": '
 _FAMILY_TAIL = '\n    }'
-_PAIR_FIRST = '[\n        {\n          "i": '
-_PAIR_NEXT = '\n        },\n        {\n          "i": '
-_PAIR_J = ',\n          "j": '
-_PAIR_RE = ',\n          "re": '
-_PAIR_IM = ',\n          "im": '
+_PAIR_FIRST = b'[\n        {\n          "i": '
+_PAIR_NEXT = b'\n        },\n        {\n          "i": '
+_PAIR_J = b',\n          "j": '
+_PAIR_RE = b',\n          "re": '
+_PAIR_IM = b',\n          "im": '
 _PAIRS_END = '\n        }\n      ]'
+_PROB_FIRST = b'[\n        '
+_PROB_NEXT = b',\n        '
+_PROBS_END = '\n      ]'
+
+# The tables of the layout. A table maps k < 10**4 to its four ASCII digits
+# as one little-endian word, with the bytes a layout leaves out made NUL. They
+# are built from the 100 two-digit words, so that import stays cheap.
+_TWO = np.frombuffer("".join(map("{:02d}".format, range(100))).encode(), "<u2").astype(np.uint32)
+_FOUR = (_TWO[:, None] | _TWO << 16).ravel()
+_K = np.arange(10**4, dtype=np.int16)
+_TRAILING_ZEROS = (_K % 10 == 0).astype(np.intp) + (_K % 100 == 0) + (_K % 1000 == 0) + (_K == 0)
+_LENGTH = 1 + (_K >= 10).astype(np.intp) + (_K >= 100) + (_K >= 1000)
+_FIRST_BYTES = np.array([0, 0xFF, 0xFFFF, 0xFFFFFF, 0xFFFFFFFF], np.uint32)  # [n]: the first n bytes
+# [k] and, from 10**4 on, [10**4 + k] without trailing or leading zeros
+_DIGITS = np.concatenate((_FOUR, _FOUR & _FIRST_BYTES[4 - _TRAILING_ZEROS]))
+_INT_DIGITS = np.concatenate((_FOUR, _FOUR & ~_FIRST_BYTES[4 - _LENGTH]))
+_THREE_DIGITS = _DIGITS & ~_FIRST_BYTES[1]  # k < 10**3: its "0" first made NUL
+# A number's decade index is floor(log10(|x|)) + 12, clipped to 0..11. A
+# magnitude 10**e <= |x| < 10**(e + 1) with -11 <= e <= -1 is scaled by the
+# exact 10**(11 - e) to 12 digits before the point; index 0 scales to 0.
+_SCALES = np.array([0] + [10 ** k for k in range(22, 11, -1)], dtype=float)
+# A number is six words. _HEADS[((12 * negative + index) * 10 + first digit)
+# * 2 + more than one digit] is two: its sign, "0." and up to three zeros,
+# its first digit and the point of the exponential form (index < 8). Then
+# come the other 11 digits (3, 4 and 4, trailing zeros dropped) and
+# _EXPONENTS[index], "e-" and two digits.
+_PREFIXES = np.frombuffer("".join(  # [12 * negative + index]
+    ("-" if negative else "\0") + ("0." + "0" * (-1 - e) if e >= -4 else "").ljust(7, "\0")
+    for negative in (0, 1) for e in range(-12, 0)).encode(), "<u8")
+_HEADS = (_PREFIXES[:, None, None] | (np.arange(ord("0"), ord("9") + 1, dtype=np.uint64) << 48)[:, None]
+          | (np.arange(24) % 12 < 8)[:, None, None] * np.array([0, ord(".") << 56], np.uint64)
+          ).ravel().astype("<u8")
+_EXPONENTS = np.frombuffer("".join(
+    f"e-{-e:02d}" if e < -4 else "\0" * 4 for e in range(-12, 0)).encode(), "<u4")
+_BLOCK = 4096  # values per pass, so that a pass's temporaries stay small
 
 
-def _interleave(*columns) -> list:
-    """The columns' elements row by row, as one flat list: no tuple per row.
-    The first column must be a list; the others may be any iterables of its
-    length."""
-    flat = [None] * (len(columns) * len(columns[0]))
-    for k, column in enumerate(columns):
-        flat[k::len(columns)] = column
-    return flat
+def _write_numbers(values: np.ndarray, out: np.ndarray) -> None:
+    """Write ``json.dumps(round12(x))`` of every value into its row of
+    ``out``, six words. A value the layout cannot spell, or that may
+    round otherwise than "%.12g", is spelled by :func:`_json_texts`."""
+    x = np.abs(values)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # 0, inf, NaN: not fast
+        index = (np.fmin(np.fmax(np.floor(np.log10(x)), -12), -1) + 12).astype(np.intp)
+        s = x * _SCALES[index]
+        m = np.rint(s)
+        fast = (s >= 1e11) & (s < 1e12 - 1) & (np.abs(s - m) < 0.5 - 1e-3)
+    m = np.where(fast, m, 1e11).astype(np.int64)
+    first = m // 10**11  # // and - take about half the time of np.divmod
+    rest = m - first * 10**11
+    high = rest // 10**8
+    low = rest - high * 10**8
+    mid = low // 10**4
+    lo = low - mid * 10**4
+    heads = _HEADS[((12 * (values < 0) + index) * 10 + first) * 2 + (rest != 0)]
+    out[:, :2] = heads.view("<u4").reshape(-1, 2)
+    out[:, 2] = _THREE_DIGITS[high + 10**4 * (low == 0)]
+    out[:, 3] = _DIGITS[mid + 10**4 * (lo == 0)]
+    out[:, 4] = _DIGITS[lo + 10**4]
+    out[:, 5] = _EXPONENTS[index]
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        out[slow] = np.array(_json_texts(values[slow]), dtype="S24").view("<u4").reshape(-1, 6)
 
 
-def _int_texts(values: np.ndarray, before: str, after: str) -> list[str]:
-    """before + str(v) + after for every value v; each distinct value is
-    converted once."""
-    distinct, where = np.unique(values, return_inverse=True)
-    return np.array([before + str(v) + after for v in distinct.tolist()], dtype=object)[where].tolist()
+def _write_ints(values: np.ndarray, out: np.ndarray) -> None:
+    """Write the decimal text of every integer into its row of ``out``:
+    the digits right-aligned, the sign of a negative value in the first
+    byte, which :func:`_ints` keeps free for it."""
+    magnitude = np.abs(values).astype(np.uint64)  # abs(-2**63) is -2**63, which reads 2**63 here
+    for k in range(out.shape[1]):
+        part = magnitude // np.uint64(10 ** (4 * k))
+        digits = _INT_DIGITS[(part % 10**4).astype(np.intp) + 10**4 * (part < 10**4)]
+        out[:, -1 - k] = np.where(part == 0, 0, digits) if k else digits
+    if (values < 0).any():
+        out[:, 0] |= np.where(values < 0, ord("-"), 0).astype(np.uint32)
+
+
+def _numbers(values: np.ndarray) -> tuple:
+    return _write_numbers, values, 6
+
+
+def _ints(values: np.ndarray) -> tuple:
+    digits = len(str(int(np.abs(values).astype(np.uint64).max(initial=0))))
+    return _write_ints, values, -(-(digits + bool((values < 0).any())) // 4)
+
+
+def _rows_text(first: bytes, lead: bytes, *bands) -> str:
+    """One row per value of the fields, as one str with the NULs dropped:
+    ``lead`` (``first`` in the first row, padded to the length of ``lead``)
+    and then the bands. A band is bytes, the same in every row, or a field
+    ``(write, values, words)``: ``write(values, out)`` fills the value's
+    row of ``out``, that many little-endian 4-byte words."""
+    row, fields = lead, []
+    for band in bands:
+        if not isinstance(band, bytes):
+            fields.append((band, len(row)))
+            band = bytes(4 * band[2])
+        row += band
+    buf = bytearray(row) * len(fields[0][0][1])
+    buf[:len(lead)] = first.ljust(len(lead), b"\0")
+    _write_fields(buf, len(row), fields)
+    text = buf.translate(None, b"\0")
+    del buf  # freed before the text is made
+    return text.decode("ascii")
+
+
+def _write_fields(buf: bytearray, width: int, fields: list) -> None:
+    """Fill every field of the rows of ``buf``, _BLOCK rows at a time."""
+    n = len(buf) // width
+    columns = [np.ndarray((n, words), "<u4", buf, at, (width, 4)) for (_, _, words), at in fields]
+    for at in range(0, n, _BLOCK):
+        for ((write, values, _), _), out in zip(fields, columns):
+            write(values[at:at + _BLOCK], out[at:at + _BLOCK])
 
 
 def _family_json(f: FamilyResult) -> list[str]:
-    pairs = f.violating_pairs
-    n = len(pairs)
-    texts = _json_texts(np.concatenate((pairs.overlaps.real, pairs.overlaps.imag, f.probabilities)))
-    re, im, probs = texts[:n], texts[n:2 * n], texts[2 * n:]
+    pairs, probs = f.violating_pairs, np.asarray(f.probabilities, dtype=float)
     pieces = [_FAMILY_HEAD % (json.dumps(f.name), json.dumps(f.consistent), json.dumps(f.exhaustive))]
-    if n:
-        pieces += _interleave(_int_texts(pairs.i, _PAIR_NEXT, _PAIR_J),
-                              _int_texts(pairs.j, "", _PAIR_RE),
-                              re, [_PAIR_IM] * n, im)
-        pieces[1] = _PAIR_FIRST + pieces[1][len(_PAIR_NEXT):]
-        pieces.append(_PAIRS_END)
+    if pairs:
+        pieces += [_rows_text(_PAIR_FIRST, _PAIR_NEXT, _ints(pairs.i), _PAIR_J, _ints(pairs.j),
+                              _PAIR_RE, _numbers(pairs.overlaps.real), _PAIR_IM,
+                              _numbers(pairs.overlaps.imag)), _PAIRS_END]
     else:
         pieces.append("[]")
     pieces.append(_FAMILY_MID)
-    pieces.append("[\n        " + ",\n        ".join(probs) + "\n      ]" if probs else "[]")
+    if probs.size:
+        pieces += [_rows_text(_PROB_FIRST, _PROB_NEXT, _numbers(probs)), _PROBS_END]
+    else:
+        pieces.append("[]")
     pieces.append(_FAMILY_TAIL)
     return pieces
 
@@ -230,8 +338,10 @@ def render_report_text(report: Report) -> str:
             pairs = f.violating_pairs
             lines.append(f"  violating pairs ({len(pairs)}):")
             if pairs:
-                values = _interleave(pairs.i.tolist(), pairs.j.tolist(),
-                                     _snapped(pairs.overlaps.real).tolist(),
-                                     _snapped(pairs.overlaps.imag).tolist())
+                values = [None] * (4 * len(pairs))
+                values[0::4] = pairs.i.tolist()
+                values[1::4] = pairs.j.tolist()
+                values[2::4] = _snapped(pairs.overlaps.real).tolist()
+                values[3::4] = _snapped(pairs.overlaps.imag).tolist()
                 lines.append("\n".join([_PAIR_TEXT] * len(pairs)) % tuple(values))
     return "\n".join(lines) + "\n"

@@ -283,6 +283,18 @@ def test_a_square_that_overflows_is_not_idempotent():
     assert not is_projector(m)
 
 
+def test_a_difference_or_commutator_that_overflows_fails_without_a_warning():
+    # m - m^dagger overflows to inf, and [p, q] to NaN; both fail their
+    # test and warn nothing
+    m = np.array([[0, 1.7e308], [-1.7e308, 0]])
+    with pytest.raises(ValueError, match="not self-adjoint"):
+        as_projector(m)
+    assert not is_projector(m)
+    with pytest.raises(ValueError, match="self-adjoint"):
+        unitary_exp(m, 1.0)
+    assert not commutes([[1e200, 0], [0, 0]], [[0, 1e200], [1e200, 0]])
+
+
 def test_a_vector_whose_squared_norm_overflows_is_normalized():
     big = [1e200, 0.0]
     assert projector_onto(big).matrix.tobytes() == projector_onto([1.0, 0.0]).matrix.tobytes()

@@ -10,6 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from qhist import report as report_module
@@ -100,8 +102,13 @@ def test_writers_match_on_edge_cases():
         for i, (re, im) in enumerate(zip(EDGE_FLOATS, reversed(EDGE_FLOATS)), start=1)
     )
     assert np.isinf(edges.overlaps[8].imag) and edges.overlaps[8].real == 1.0
+    # pair indices at the edges of the writer's four-digit chunks, and signs
+    chunk_edges = pairs_of([(9, 10, 0.5, -0.25), (9999, 10000, 1e-05, 0.125),
+                            (99999999, 100000000, -0.3, 0.7), (1234567890123, 2**63 - 1, 0.1, 0.0),
+                            (-1, -10000, 0.2, 0.3), (-(2**63), 0, 0.4, 0.6)])
     families = (
         FamilyResult(names[0], False, True, edges, probs()),
+        FamilyResult(names[0], False, True, chunk_edges, probs()),
         FamilyResult(names[1], True, True, pairs_of(()), probs(*EDGE_FLOATS)),
         FamilyResult(names[2], True, False, pairs_of(()), probs()),
         FamilyResult(names[3], False, False, pairs_of([(1, 2, 0.5, -0.25)]), probs(1.0)),
@@ -138,6 +145,50 @@ def test_json_numbers_equal_json_dumps_of_the_rounded_floats():
                    * (1 + rng.uniform(-1e-11, 1e-11, 1200))).tolist()
     values = edges + randoms + integers + near_switch + list(EDGE_FLOATS)
     assert _json_texts(values) == [json.dumps(round12(x)) for x in values]
+
+
+def machine_numbers(values) -> list[str]:
+    """The machine writer's text of each value, read from the probabilities
+    array of a family that holds them."""
+    report = Report("s", (FamilyResult("f", True, True, pairs_of(()), probs(*values)),))
+    array = render_report_machine(report).split('"probabilities": [\n', 1)[1].split("\n      ]", 1)[0]
+    return [line.strip().rstrip(",") for line in array.split("\n")]
+
+
+def nudged(x: float, side: int, sign: float) -> float:
+    """x, or its neighbour below or above, with the given sign."""
+    return sign * float(np.nextafter(x, side * INF) if side else x)
+
+
+SIGNS, SIDES = st.sampled_from([1.0, -1.0]), st.sampled_from([-1, 0, 1])
+# m + 1/2 in units of the 12th digit of a number of exponent e: the ties of "%.12g"
+MIDPOINTS = st.builds(lambda m, e, side, sign: nudged((m + 0.5) * 10.0 ** (e - 11), side, sign),
+                      st.integers(10**11, 10**12 - 1), st.integers(-11, -1), SIDES, SIGNS)
+POWERS_OF_TEN = st.builds(lambda e, side, sign: nudged(float(f"1e{e}"), side, sign),
+                          st.integers(-14, 2), SIDES, SIGNS)
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.lists(st.one_of(st.floats(), MIDPOINTS, POWERS_OF_TEN), min_size=1, max_size=60))
+def test_machine_numbers_equal_json_dumps_of_round12(values):
+    assert machine_numbers(values) == [json.dumps(round12(x)) for x in values]
+
+
+def test_the_number_layout_spells_nearly_every_number_of_a_ladder(monkeypatch):
+    """The per-value path (_json_texts) takes the values the layout cannot
+    spell: near-ties, 0.0 and the like, well under 1% of a ladder's numbers."""
+    report = run_scenario(parse_scenario(ladder_text(random.Random(1), 8)))
+    spelled = []
+
+    def counting(values):
+        spelled.append(len(values))
+        return _json_texts(values)
+
+    monkeypatch.setattr(report_module, "_json_texts", counting)
+    machine = render_report_machine(report)
+    numbers = sum(2 * len(f.violating_pairs) + len(f.probabilities) for f in report.families)
+    assert numbers > 30000 and sum(spelled) < 0.01 * numbers
+    assert machine == json.dumps(oracles.report_to_dict(report), indent=2) + "\n"
 
 
 def test_family_result_equality_and_replace():
