@@ -25,14 +25,15 @@ A family is a valid sample space (a "framework") when two conditions hold:
 
 Both come from one walk of that prefix tree. A Family lays the tree out when
 it is made, one event time at a time (``Family._tree``), and the walk reads
-it in the same order: it forms every ket of a level in one batched product of
-each node's Heisenberg event with its parent's ket. Those events depend only
-on the family: its first walk conjugates each time's distinct events back to
-t0 at once and keeps the stacks (``Family._heisenberg``), so later walks, at
-any ``tol`` and for any read, call no propagator. The last level's kets are
-the N chain kets, the rows of K. For each inner node with ket |chi> the walk
-also keeps ||chi|| and the residual ||sum_c P^_c chi - chi|| over its
-children. That record holds no tolerance: :func:`check_consistency` reads the
+it in the same order: at each event time it conjugates that time's distinct
+events back to t0 at once, then forms every ket of the level in one batched
+product of each node's Heisenberg event with its parent's ket. The last
+level's kets are the N chain kets, the rows of K. For each inner node with
+ket |chi> the walk also keeps ||chi|| and the residual
+||sum_c P^_c chi - chi|| over its children. That record depends only on the
+family, so the family walks once and keeps it (``Family._walked``): every
+later check, at any ``tol``, and every read calls no propagator and forms no
+ket. It holds no tolerance: :func:`check_consistency` reads the
 exhaustiveness verdict off it for the ``tol`` it is given, where a node whose
 norm, or an ancestor's, is at most ``tol`` is dead and not tested. All
 overlaps then follow as one matrix, the decoherence functional D = K^dag K
@@ -114,10 +115,10 @@ class Family:
     """A candidate framework: shared initial state, grid and dynamics, plus
     the list of member histories. Construction validates shape only; whether
     the family is actually consistent is the verdict of
-    :func:`check_consistency`. The first walk computes the family's
-    Heisenberg events and keeps them; a family made from this one (by
-    ``dataclasses.replace``, ``refine`` or ``replace_events_with_identity``)
-    computes its own."""
+    :func:`check_consistency`. The family walks its event-prefix tree on
+    the first read and keeps that record, read-only; a family made from this
+    one (by ``dataclasses.replace``, ``refine`` or
+    ``replace_events_with_identity``) walks its own."""
 
     initial_state: np.ndarray = field(repr=False)
     grid: TimeGrid
@@ -136,10 +137,8 @@ class Family:
     # position of its event in its time's _branches; then the first id of each
     # level, and the node count.
     _tree: tuple[np.ndarray, np.ndarray, tuple[int, ...]] = field(init=False, repr=False)
-    # per event time k (position k - 1): the read-only stack of that time's
-    # events conjugated back to t0, U^dag P U, in _branches order; None until
-    # the first walk computes all of them (see _heisenberg)
-    _heisenberg: tuple[np.ndarray, ...] | None = field(default=None, init=False, repr=False)
+    # the walk of _tree, made on the first read and kept (see _walk)
+    _walked: _Walk | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         state = _initial_state(self.initial_state).copy()
@@ -297,8 +296,8 @@ def _norms(v: np.ndarray) -> np.ndarray:
 class _Walk:
     """What one walk of the event-prefix tree finds, before any ``tol`` is
     applied: K, and for each inner node (ids as in ``Family._tree``) the norm
-    of its ket chi and its exhaustiveness residual ||sum_c P^_c chi - chi||.
-    ``parent`` and ``starts`` are the family's tree."""
+    of its ket chi and its exhaustiveness residual ||sum_c P^_c chi - chi||,
+    all read-only. ``parent`` and ``starts`` are the family's tree."""
 
     kets: np.ndarray
     norms: np.ndarray
@@ -319,45 +318,38 @@ class _Walk:
         return bool(passed[~dead].all())
 
 
-def _heisenberg(f: Family) -> tuple[np.ndarray, ...]:
-    """The family's events conjugated back to t0, one read-only stack per
-    event time, in ``_branches`` order. The first call computes every stack
-    (one propagator per event time) and keeps them on the family; a call
-    that raises keeps nothing."""
-    if f._heisenberg is None:
+def _walk(f: Family) -> _Walk:
+    """The family's walk of its event-prefix tree, one event time at a time:
+    conjugate that time's events back to t0 (one propagator), then form the
+    level's kets, their parents' kets times their events' Heisenberg
+    projectors, in one batched product. The first call walks and keeps the
+    read-only record on the family; a walk that raises keeps nothing."""
+    if f._walked is None:
+        parent, code, starts = f._tree
+        kets = np.empty((starts[-1], f.dim), dtype=complex)
+        kets[0] = f.initial_state
         t0 = f.grid.times[0]
-        stacks = []
         for k, branches in enumerate(f._branches, start=1):
             u = propagator(f.schedule, t0, f.grid.time_at(k))
-            events = np.stack([p.matrix for p in branches.values()])
-            stacks.append(_read_only(u.conj().T @ events @ u))
-        object.__setattr__(f, "_heisenberg", tuple(stacks))
-    return f._heisenberg
-
-
-def _walk(f: Family) -> _Walk:
-    """One walk of the event-prefix tree, one event time at a time: the kets
-    of a level are their parents' kets times the Heisenberg projectors of
-    their events (the family's stacks, computed on its first walk), formed
-    in one batched product."""
-    parent, code, starts = f._tree
-    kets = np.empty((starts[-1], f.dim), dtype=complex)
-    kets[0] = f.initial_state
-    for k, hei in enumerate(_heisenberg(f), start=1):
-        lo, hi = starts[k], starts[k + 1]
-        at = slice(lo - 1, hi - 1)
-        kets[lo:hi] = np.matmul(hei[code[at]], kets[parent[at]][..., None])[..., 0]
-    inner = starts[-2]
-    chi = kets[:inner]
-    total = np.zeros_like(chi)
-    np.add.at(total, parent, kets[1:])  # each node's children, in order, as sum() adds them
-    return _Walk(kets[inner:], _norms(chi), _norms(total - chi), parent, starts)
+            hei = u.conj().T @ np.stack([p.matrix for p in branches.values()]) @ u
+            lo, hi = starts[k], starts[k + 1]
+            at = slice(lo - 1, hi - 1)
+            kets[lo:hi] = np.matmul(hei[code[at]], kets[parent[at]][..., None])[..., 0]
+        inner = starts[-2]
+        chi = kets[:inner]
+        total = np.zeros_like(chi)
+        np.add.at(total, parent, kets[1:])  # each node's children, in order, as sum() adds them
+        norms, residuals = _read_only(_norms(chi)), _read_only(_norms(total - chi))
+        record = _Walk(_read_only(kets)[inner:], norms, residuals, parent, starts)
+        object.__setattr__(f, "_walked", record)
+    return f._walked
 
 
 def chain_kets(f: Family) -> np.ndarray:
-    """K: the N x dim array whose row a is the chain ket |alpha_a> =
-    P^(alpha_n) ... P^(alpha_1)|psi0> of ``f.histories[a]`` (may be zero, is
-    not normalized), from one walk. Overlaps are K.conj() @ K.T."""
+    """K: the read-only N x dim array whose row a is the chain ket
+    |alpha_a> = P^(alpha_n) ... P^(alpha_1)|psi0> of ``f.histories[a]`` (may
+    be zero, is not normalized). The family keeps it: every call returns the
+    same array. Overlaps are K.conj() @ K.T."""
     return _walk(f).kets
 
 

@@ -158,26 +158,29 @@ class Projector:
         return f"Projector({self.label!r}, dim={self.dim})"
 
 
-def _is_idempotent(m: np.ndarray) -> bool:
-    """Whether a matrix that as_operator has already coerced is idempotent.
-    A product that overflows gives NaN or inf, which fails."""
+def _projector_fault(m: np.ndarray) -> str | None:
+    """Why a matrix that as_operator has already coerced is not a projector
+    ("not self-adjoint" or "not idempotent"), or None if it is one. Both
+    tests run under one errstate: a difference or product that overflows
+    gives inf or NaN, which fails."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return max_abs(m @ m - m) <= EPS_OP
+        if not max_abs(m - m.conj().T) <= EPS_OP:
+            return "not self-adjoint"
+        if not max_abs(m @ m - m) <= EPS_OP:
+            return "not idempotent"
+    return None
 
 
 def is_projector(m) -> bool:
-    m = as_operator(m)
-    return _is_hermitian(m) and _is_idempotent(m)
+    return _projector_fault(as_operator(m)) is None
 
 
 def as_projector(m, label: str = "") -> Projector:
     """Certify a matrix as a projector; raises ValueError if it is not one."""
     p = Projector(m, label)  # coerces m once, and rejects non-finite entries
-    m = p.matrix
-    if not _is_hermitian(m):
-        raise ValueError(f"projector {label!r}: matrix is not self-adjoint")
-    if not _is_idempotent(m):
-        raise ValueError(f"projector {label!r}: matrix is not idempotent")
+    fault = _projector_fault(p.matrix)
+    if fault is not None:
+        raise ValueError(f"projector {label!r}: matrix is {fault}")
     return p
 
 

@@ -187,6 +187,7 @@ def test_the_number_layout_spells_nearly_every_number_of_a_ladder(monkeypatch):
     monkeypatch.setattr(report_module, "_json_texts", counting)
     machine = render_report_machine(report)
     numbers = sum(2 * len(f.violating_pairs) + len(f.probabilities) for f in report.families)
+    assert sum(spelled) > 0, "the writer no longer sends values through _json_texts"
     assert numbers > 30000 and sum(spelled) < 0.01 * numbers
     assert machine == json.dumps(oracles.report_to_dict(report), indent=2) + "\n"
 

@@ -18,7 +18,6 @@ from qhist import histories
 from qhist.dynamics import Schedule, Segment, TimeGrid
 from qhist.frameworks import Proposition, query, refine
 from qhist.histories import (
-    _heisenberg,
     _walk,
     chain_kets,
     check_consistency,
@@ -327,10 +326,15 @@ def test_a_family_propagates_each_event_time_once(monkeypatch, name):
         assert report.probabilities.tobytes() == d.diagonal().real.tobytes()
 
 
-def test_families_made_from_a_walked_family_share_none_of_its_events():
+def _record_arrays(record) -> tuple:
+    return record.kets, record.norms, record.residuals, record.parent
+
+
+def test_families_made_from_a_walked_family_share_none_of_its_record():
     fam = _compiled_families()["collapse-4"]
     _assert_walks_like_the_oracle(fam)
-    assert fam._heisenberg is not None
+    record = fam._walked
+    assert record is not None
     field = Segment(0.0, 4.0, 0.7 * spin_operator(Direction(2.0, 1.0)))
     derived = [
         replace(fam, schedule=Schedule(2, (field,))),
@@ -339,21 +343,72 @@ def test_families_made_from_a_walked_family_share_none_of_its_events():
         replace_events_with_identity(fam, 2),
         refine(fam, replace_events_with_identity(fam, 4)),
     ]
-    assert all(other._heisenberg is None for other in derived[:-1])  # refine checks its output
+    assert all(other._walked is None for other in derived[:-1])  # refine checks its output
     for other in derived:
         _assert_walks_like_the_oracle(other)
-        assert not any(a is b for a in other._heisenberg for b in fam._heisenberg)
+        assert not any(np.shares_memory(a, b) for a in _record_arrays(other._walked)
+                       for b in _record_arrays(record))
+    assert fam._walked is record
 
 
-def test_the_kept_heisenberg_events_are_read_only():
+def test_the_kept_walk_record_is_read_only():
     fam = _compiled_families()["collapse-4"]
-    stacks = _heisenberg(fam)
-    assert fam._heisenberg is stacks and _heisenberg(fam) is stacks
-    assert len(stacks) == fam.grid.n_events
-    for stack, branches in zip(stacks, fam._branches):
-        assert stack.shape == (len(branches), fam.dim, fam.dim)
-        assert not stack.flags.writeable
+    record = _walk(fam)
+    assert fam._walked is record and _walk(fam) is record
+    for a in _record_arrays(record):
+        assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            stack[0, 0, 0] = 0.0
+            a[0] = 0
     with pytest.raises(AttributeError):
-        fam._heisenberg = None
+        fam._walked = None
+    with pytest.raises(AttributeError):
+        record.kets = record.kets.copy()
+
+
+def test_chain_kets_returns_the_kept_read_only_k():
+    fam = _compiled_families()["z-ladder-4"]
+    kets = chain_kets(fam)
+    assert chain_kets(fam) is kets and _walk(fam).kets is kets
+    with pytest.raises(ValueError, match="read-only"):
+        kets[0, 0] = 1.0
+    assert kets.tobytes() == oracles.per_node_walk(fam, 1e-9)[0].tobytes()
+
+
+# every read of a family, at one tol; a history's event is a proposition
+READS = {
+    "check_consistency": lambda fam, tol: check_consistency(fam, tol),
+    "history_probability": lambda fam, tol: history_probability(fam.histories[0], fam, tol),
+    "query": lambda fam, tol: query(fam, fam.histories[0].events[-1], tol),
+    "chain_kets": lambda fam, tol: chain_kets(fam),
+}
+
+
+@pytest.mark.parametrize("first", READS)
+def test_only_a_family_s_first_read_forms_kets(monkeypatch, first):
+    fam = _compiled_families()["collapse-4"]
+    calls = []
+
+    def counted(v):
+        calls.append(len(v))
+        return norms(v)
+
+    norms = histories._norms
+    monkeypatch.setattr(histories, "_norms", counted)
+    READS[first](fam, 1e-9)
+    assert len(calls) == 2  # the inner nodes' norms and residuals, once
+    for tol in TOLS:
+        for read in READS.values():
+            read(fam, tol)
+    assert len(calls) == 2
+
+
+def test_a_re_read_family_still_walks_like_the_oracle():
+    for name, fam in FAMILIES:
+        reports = [check_consistency(fam, tol) for tol in TOLS]
+        record = fam._walked
+        for tol, report in zip(TOLS, reports):
+            want_kets, want_exhaustive = oracles.per_node_walk(fam, tol)
+            again = check_consistency(fam, tol)
+            assert again == report and fam._walked is record, name
+            assert chain_kets(fam).tobytes() == want_kets.tobytes(), name
+            assert again.exhaustive is want_exhaustive, (name, tol)
