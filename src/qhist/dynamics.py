@@ -45,6 +45,8 @@ class Segment:
     t_start: float
     t_end: float
     hamiltonian: np.ndarray = field(repr=False)
+    # the Hamiltonian's eigh, made on first use and kept (see _spectrum)
+    _eigh: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not self.t_end > self.t_start:
@@ -93,6 +95,18 @@ def schedules_equal(a: Schedule, b: Schedule) -> bool:
     return True
 
 
+def _spectrum(seg: Segment) -> tuple[np.ndarray, np.ndarray]:
+    """(w, vecs), the ``np.linalg.eigh`` of a segment's Hamiltonian,
+    read-only. The first call diagonalizes and keeps it on the segment; a
+    segment made from this one (by ``dataclasses.replace``) computes its own."""
+    if seg._eigh is None:
+        w, vecs = np.linalg.eigh(seg.hamiltonian)
+        w.setflags(write=False)
+        vecs.setflags(write=False)
+        object.__setattr__(seg, "_eigh", (w, vecs))
+    return seg._eigh
+
+
 def propagator(schedule: Schedule, t_a: float, t_b: float) -> np.ndarray:
     """Time-ordered propagator U(t_a -> t_b); uncovered stretches are free."""
     if t_b < t_a:
@@ -102,7 +116,7 @@ def propagator(schedule: Schedule, t_a: float, t_b: float) -> np.ndarray:
         lo = max(t_a, seg.t_start)
         hi = min(t_b, seg.t_end)
         if hi > lo:
-            u = unitary_exp(seg.hamiltonian, hi - lo) @ u
+            u = unitary_exp(seg.hamiltonian, hi - lo, _spectrum(seg)) @ u
     return u
 
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dynamics import schedules_equal
 from .histories import (
     Event,
@@ -22,7 +24,7 @@ from .histories import (
     QueryOnInconsistentFamily,
     check_consistency,
 )
-from .linalg import EPS_CONS, EPS_OP, EPS_STATE, as_projector, commutes, max_abs
+from .linalg import EPS_CONS, EPS_OP, EPS_STATE, _commute, as_projector, commutes, max_abs
 
 
 class IncompatibleProperties(Exception):
@@ -70,25 +72,29 @@ def query(f: Family, p: Proposition, tol: float = EPS_CONS) -> QueryResult:
     if p.projector.dim != f.dim:
         raise ValueError("proposition dimension does not match the family")
 
+    # both matrices are a Projector's, already square, finite and of the
+    # family's dim; one product P E serves the commutation test and the
+    # absorb/split tests
     mat = p.projector.matrix
     absorbed: set[str] = set()
-    for label, event in f._branches[p.time_index - 1].items():
-        event_mat = event.matrix
-        if not commutes(mat, event_mat):
-            return QueryResult(
-                None,
-                f"projector {p.projector.label!r} does not commute with event "
-                f"{label!r} at time {p.time_index}",
-            )
-        prod = mat @ event_mat
-        if max_abs(prod - event_mat) <= EPS_OP:
-            absorbed.add(label)
-        elif max_abs(prod) > EPS_OP:
-            return QueryResult(
-                None,
-                f"projector {p.projector.label!r} splits event {label!r} at time "
-                f"{p.time_index}; it is not a union of the family's alternatives",
-            )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for label, event in f._branches[p.time_index - 1].items():
+            event_mat = event.matrix
+            prod = mat @ event_mat
+            if not _commute(mat, event_mat, prod):
+                return QueryResult(
+                    None,
+                    f"projector {p.projector.label!r} does not commute with event "
+                    f"{label!r} at time {p.time_index}",
+                )
+            if max_abs(prod - event_mat) <= EPS_OP:
+                absorbed.add(label)
+            elif max_abs(prod) > EPS_OP:
+                return QueryResult(
+                    None,
+                    f"projector {p.projector.label!r} splits event {label!r} at time "
+                    f"{p.time_index}; it is not a union of the family's alternatives",
+                )
 
     total = sum(
         prob

@@ -40,8 +40,11 @@ overlaps then follow as one matrix, the decoherence functional D = K^dag K
 with D[a, b] = <alpha_a|alpha_b> (Gell-Mann & Hartle, Phys. Rev. D 47, 3345
 (1993)); its real diagonal holds the probabilities, and the family is
 orthogonal when no entry above the diagonal exceeds ``tol`` (Griffiths,
-J. Stat. Phys. 36, 219 (1984)). :func:`chain_kets` returns K; the verdict
-keeps its pairs as an :class:`OverlapPairs`, which the report writes as is.
+J. Stat. Phys. 36, 219 (1984)). Pairs are listed only when some entry off
+the diagonal exceeds ``tol``: a consistent family exceeds it on the
+diagonal alone, so a read of one forms D, |D| and one count, and searches
+for no pair. :func:`chain_kets` returns K; the verdict keeps its pairs as
+an :class:`OverlapPairs`, which the report writes as is.
 
 Probabilities of a family that fails the check are quantum-mechanically
 meaningless; asking for them raises :class:`QueryOnInconsistentFamily`.
@@ -287,6 +290,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# the columns of an empty OverlapPairs, in the dtypes of a found one
+_NO_INDICES = _read_only(np.empty(0, dtype=np.intp))
+_NO_OVERLAPS = _read_only(np.empty(0, dtype=complex))
+
+
 def _norms(v: np.ndarray) -> np.ndarray:
     """||row|| of each row of v, each summed as np.vdot sums one vector."""
     return np.sqrt(np.matmul(v.conj()[:, None, :], v[:, :, None])[:, 0, 0].real)
@@ -353,13 +361,27 @@ def chain_kets(f: Family) -> np.ndarray:
     return _walk(f).kets
 
 
+def _violating_pairs(overlaps: np.ndarray, tol: float) -> OverlapPairs:
+    """The pairs i < j of D whose |D(i, j)| is not within ``tol`` (NaN is
+    not), row by row. A consistent family exceeds ``tol`` on the diagonal
+    alone, so the pairs are searched for only when some entry off the
+    diagonal does; otherwise they are empty, in the same dtypes."""
+    violates = ~(np.abs(overlaps) <= tol)
+    if np.count_nonzero(violates) == np.count_nonzero(violates.diagonal()):
+        return OverlapPairs(_NO_INDICES, _NO_INDICES, _NO_OVERLAPS)
+    rows, cols = np.nonzero(np.triu(violates, 1))
+    return OverlapPairs(*map(_read_only, (rows + 1, cols + 1, overlaps[rows, cols])))
+
+
 def check_consistency(f: Family, tol: float = EPS_CONS) -> ConsistencyReport:
     """Decide whether a family is a consistent framework.
 
     Returns a verdict for every family: inconsistent families are legal
-    values, they just cannot be assigned probabilities. It raises ValueError
-    when ``tol`` is not finite and positive, or when the dynamics turn a
-    state by a phase too large to represent (see :func:`unitary_exp`).
+    values, they just cannot be assigned probabilities. The verdict lists
+    the pairs i < j with |D(i, j)| above ``tol`` (or NaN); they are searched
+    for only when some entry off the diagonal exceeds ``tol``. It raises
+    ValueError when ``tol`` is not finite and positive, or when the dynamics
+    turn a state by a phase too large to represent (see :func:`unitary_exp`).
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
@@ -368,8 +390,7 @@ def check_consistency(f: Family, tol: float = EPS_CONS) -> ConsistencyReport:
     exhaustive = walk.exhaustive(tol)
     overlaps = kets.conj() @ kets.T  # D = K^dag K
     probabilities = _read_only(overlaps.diagonal().real.copy())
-    rows, cols = np.nonzero(np.triu(~(np.abs(overlaps) <= tol), 1))  # NaN violates
-    violating = OverlapPairs(*map(_read_only, (rows + 1, cols + 1, overlaps[rows, cols])))
+    violating = _violating_pairs(overlaps, tol)
     probability_sum = float(sum(probabilities.tolist()))
     # for exhaustive + orthogonal families the weights sum to <psi0|psi0>;
     # the explicit conjunct keeps the report's invariant airtight at loose tol

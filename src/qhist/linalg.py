@@ -119,14 +119,23 @@ def _is_hermitian(m: np.ndarray) -> bool:
         return max_abs(m - m.conj().T) <= EPS_OP
 
 
+def _commute(p: np.ndarray, q: np.ndarray, pq: np.ndarray) -> bool:
+    """Whether [P, Q] = pq - q @ p is within EPS_OP, for square matrices of
+    one shape that as_operator has already coerced, given their product
+    pq = p @ q. The caller holds an errstate that ignores overflow and
+    invalid values: a product or difference that overflows gives inf or
+    NaN, which fails."""
+    return max_abs(pq - q @ p) <= EPS_OP
+
+
 def commutes(p, q) -> bool:
     """True iff the entrywise norm of [P, Q] is within EPS_OP."""
     p = as_operator(p)
     q = as_operator(q)
     if p.shape != q.shape:
         raise ValueError(f"dimension mismatch: {p.shape[0]} vs {q.shape[0]}")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf or NaN, which fails
-        return max_abs(p @ q - q @ p) <= EPS_OP
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _commute(p, q, p @ q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,18 +203,26 @@ def identity_projector(dim: int) -> Projector:
     return Projector(identity(dim), "1")
 
 
-def unitary_exp(h, duration: float) -> np.ndarray:
+def unitary_exp(
+    h, duration: float, spectrum: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
     """exp(-i * h * duration) for a self-adjoint generator, with hbar = 1.
 
     Uses the eigendecomposition of h rather than a power series, so the
     result is unitary up to diagonalization error even for long durations.
-    Raises ValueError when an eigenvalue times ``duration`` is not finite:
-    no phase can be formed from it.
+    A caller that keeps h's ``spectrum``, the pair (w, vecs) that
+    ``np.linalg.eigh`` returned for the certified h, passes it, and h is
+    then neither coerced nor diagonalized again (``dynamics.propagator``
+    passes the one each segment keeps). Raises ValueError when an
+    eigenvalue times ``duration`` is not finite: no phase can be formed
+    from it.
     """
-    h = as_operator(h)
-    if not _is_hermitian(h):
-        raise ValueError("unitary_exp requires a self-adjoint generator")
-    w, vecs = np.linalg.eigh(h)
+    if spectrum is None:
+        h = as_operator(h)
+        if not _is_hermitian(h):
+            raise ValueError("unitary_exp requires a self-adjoint generator")
+        spectrum = np.linalg.eigh(h)
+    w, vecs = spectrum
     ws = w.tolist()  # ascending, so the largest |w| sits at an end
     if not max(-ws[0], ws[-1]) * abs(float(duration)) < float("inf"):  # NaN fails too
         raise ValueError(f"unitary_exp: h * duration is not finite (duration {duration!r})")

@@ -157,37 +157,38 @@ class ScenarioDoc:
 # low-level token handling
 
 
-_PIECE = re.compile(r"\S+")
-# text in which every '(' closes before the next one opens, and every ')'
-# closes one: no parenthesis is nested, stray or left open
-_FLAT_GROUPS = re.compile(r"[^()]*(?:\([^()]*\)[^()]*)*")
+# whitespace, then a token's flat part: runs of text, parenthesized groups
+# that nest nothing, and stray ')'. It stops at whitespace, at the end, or
+# at a '(' that nests or never closes.
+_TOKEN = re.compile(r"\s*((?:[^\s()]+|\([^()]*\)|\))*)")
 
 
 def _split_tokens(text: str) -> list[tuple[str, int]]:
     """Whitespace-split outside parentheses; yields (token, 1-based column).
 
-    The text is taken in whitespace-free pieces; whitespace after a piece
-    ends the token unless a parenthesis is still open. A ')' with no '(' open
-    is plain text; a '(' never closed keeps the rest of the text, whitespace
-    included, in its token."""
+    Each token is one match of its flat part; only a '(' that nests or
+    never closes goes on character by character, counting depth, until
+    whitespace at depth 0. A ')' with no '(' open is plain text; a '(' never
+    closed keeps the rest of the text, whitespace included, in its token."""
     tokens: list[tuple[str, int]] = []
-    start = end = -1
-    depth = 0
-    for m in _PIECE.finditer(text):
-        if depth == 0:
-            if start >= 0:
-                tokens.append((text[start:end], start + 1))
-            start = m.start()
-        end = m.end()
-        piece = m.group()
-        if ("(" in piece or ")" in piece) and not _FLAT_GROUPS.fullmatch(piece):
-            for ch in piece:
+    n = len(text)
+    end = 0
+    while end < n:
+        m = _TOKEN.match(text, end)
+        start, end = m.span(1)
+        if end < n and text[end] == "(":
+            depth = 0
+            while end < n:
+                ch = text[end]
                 if ch == "(":
                     depth += 1
                 elif ch == ")" and depth:
                     depth -= 1
-    if start >= 0:
-        tokens.append((text[start:len(text) if depth else end], start + 1))
+                elif not depth and ch.isspace():
+                    break
+                end += 1
+        if end > start:
+            tokens.append((text[start:end], start + 1))
     return tokens
 
 

@@ -127,6 +127,14 @@ def per_node_walk(f, tol: float) -> tuple[np.ndarray, bool]:
     return kets, exhaustive
 
 
+def violating_pairs(overlaps: np.ndarray, tol: float):
+    """The (i, j, overlap) columns, 1-based, of every pair i < j whose
+    |D(i, j)| is not within tol (NaN is not), row by row: one search over
+    the whole upper triangle."""
+    rows, cols = np.nonzero(np.triu(~(np.abs(overlaps) <= tol), 1))
+    return rows + 1, cols + 1, overlaps[rows, cols]
+
+
 def report_to_dict(report) -> dict:
     """The machine form of a ``qhist.report.Report`` as a tree of dicts, each
     number rounded by ``report.round12``: ``json.dumps(report_to_dict(r),

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import oracles
+from qhist import dynamics
 from qhist.dynamics import (
     Schedule,
     Segment,
@@ -17,6 +19,7 @@ from qhist.linalg import (
     max_abs,
     states_equal_up_to_phase,
     tensor,
+    unitary_exp,
 )
 
 
@@ -37,6 +40,26 @@ def test_segment_validation():
         Segment(1.0, 1.0, np.zeros((2, 2)))
     with pytest.raises(ValueError, match="self-adjoint"):
         Segment(0.0, 1.0, np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_a_segment_keeps_its_spectrum_read_only():
+    seg = Segment(0.0, 2.0, 0.7 * oracles.SX + 0.2 * oracles.SZ)
+    assert seg._eigh is None and "_eigh" not in repr(seg)
+    w, vecs = dynamics._spectrum(seg)
+    assert dynamics._spectrum(seg) is seg._eigh
+    want = np.linalg.eigh(seg.hamiltonian)
+    assert w.tobytes() == want[0].tobytes() and vecs.tobytes() == want[1].tobytes()
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    with pytest.raises(ValueError):
+        vecs[0, 0] = 0.0
+    moved = replace(seg, t_end=3.0)
+    assert moved._eigh is None
+    assert dynamics._spectrum(moved) is not seg._eigh
+    stronger = replace(seg, hamiltonian=2.0 * seg.hamiltonian)
+    assert dynamics._spectrum(stronger)[0].tolist() == pytest.approx((2.0 * w).tolist())
+    u = propagator(Schedule(2, (seg,)), 0.0, 2.0)
+    assert u.tobytes() == unitary_exp(seg.hamiltonian, 2.0).tobytes()
 
 
 def test_schedule_rejects_overlap_and_dim_mismatch():

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,7 +25,9 @@ from qhist.histories import (
 from qhist.linalg import (
     EPS_CONS,
     EPS_OP,
+    Projector,
     as_projector,
+    commutes,
     identity_projector,
     max_abs,
     projector_onto,
@@ -136,6 +141,36 @@ def test_query_splitting_a_scenario_event_is_meaningless():
     result = query(built.family("eq23-identity-fix"), Proposition(projector, time_index))
     assert not result.meaningful and result.probability is None
     assert result.reason.startswith("projector 'z2+' splits event '1' at time 2")
+
+
+def test_query_with_an_uncertified_huge_projector_is_meaningless_without_a_warning():
+    # a Projector only coerces its matrix; entries near 1e200 make [P, E]
+    # huge, and entries near 1e308 make P E overflow to inf and [P, E] NaN
+    fam = frame_family(Direction(math.pi / 4, 0.0))
+    for scale in (1e200, 1.7e308):
+        big = Proposition(Projector(np.full((2, 2), scale), "big"), 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = query(fam, big)
+        assert not result.meaningful
+        assert result.reason == "projector 'big' does not commute with event 'p' at time 1"
+
+
+def test_query_reports_a_split_before_a_later_event_that_does_not_commute():
+    # at t1 the family branches into zA+ (x) 1, which |zA+ zB+> splits, and
+    # zA- (x) xB+, which |zA- zB-> does not commute with; the two events do
+    # not sum to the identity, but they exhaust |zA+ zB+>
+    first = as_projector(tensor(oracles.proj(oracles.ZP), np.eye(2)), "a+")
+    second = as_projector(tensor(oracles.proj(oracles.ZM), oracles.proj(oracles.XP)), "b")
+    fam = family_from_event_table(np.kron(oracles.ZP, oracles.ZP), GRID2, Schedule.free(4),
+                                  [[("a+", first)], [("b", second)]])
+    both = tensor(oracles.proj(oracles.ZP), oracles.proj(oracles.ZP))
+    both = both + tensor(oracles.proj(oracles.ZM), oracles.proj(oracles.ZM))
+    p = Proposition(as_projector(both, "q"), 1)
+    assert not commutes(p.projector.matrix, second.matrix)
+    result = query(fam, p)
+    assert not result.meaningful
+    assert result.reason.startswith("projector 'q' splits event 'a+' at time 1")
 
 
 def test_query_on_inconsistent_family_raises():

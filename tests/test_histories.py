@@ -3,9 +3,12 @@ import itertools
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from qhist import dynamics, histories
@@ -24,7 +27,8 @@ from qhist.histories import (
     unitary_family,
 )
 from qhist.linalg import EPS_CONS, identity_projector, projector_onto
-from qhist.scenario import build_scenario, builtin_scenario
+from qhist.report import render_report_machine, run_scenario
+from qhist.scenario import BUILTIN_SOURCES, build_scenario, builtin_scenario
 from qhist.spin import Direction, X, Z, basis_for, singlet, spin_operator, spin_projector
 
 GRID2 = TimeGrid((0.0, 1.0))
@@ -317,6 +321,28 @@ def test_collapse_family_evolves_the_state_to_t_n_minus_1_once(monkeypatch):
     assert fam.histories[0].labels == ("psi1", "psi2", "psi3", "e0")
 
 
+def test_a_fresh_collapse_family_diagonalizes_its_segment_once(monkeypatch):
+    # four event times in one field segment: one eigh in all, however many
+    # propagators the build and the first check ask for
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h) or eigh(h))
+    grid = TimeGrid((0.0, 1.0, 2.0, 3.0, 4.0))
+
+    def fresh_schedule():
+        return Schedule(2, (Segment(0.0, 4.0, 1.3 * spin_operator(Direction(1.1, 0.3))),))
+
+    fam = collapse_family(oracles.ZP, grid, fresh_schedule(), [oracles.XP, oracles.XM])
+    assert len(calls) == 1
+    first = check_consistency(fam)
+    assert len(calls) == 1  # the build kept the segment's spectrum
+    fresh = Family(fam.initial_state, grid, fresh_schedule(), fam.histories)
+    assert check_consistency(fresh) == first
+    assert len(calls) == 2
+    assert check_consistency(fresh) == first
+    assert len(calls) == 2
+
+
 def test_collapse_family_rejects_bad_basis():
     with pytest.raises(ValueError, match="orthonormal"):
         collapse_family(oracles.ZP, GRID3, FREE2, [oracles.ZP, oracles.ZP])
@@ -518,6 +544,71 @@ def test_consistency_report_keeps_its_pairs_as_columns():
         pairs.overlaps[0] = 0.0
     assert check_consistency(collapse_family(oracles.ZP, GRID3, FREE2, [oracles.XP, oracles.XM])
                              ).violating_pairs == ()
+
+
+# parts of a drawn entry: below every tol, at and around the tols, above
+# them, and non-finite
+_SMALL = (0.0, 1e-13, 5e-11)
+_PARTS = _SMALL + (1e-10, 2e-10, 1e-3, 0.3, 0.5, 1.0, math.nan, math.inf)
+_TOLS = (1e-10, 1e-3, 0.3)
+
+
+@st.composite
+def _overlap_matrices(draw):
+    """A random complex N x N matrix, N = 1..6, not Hermitian. In half the
+    draws every entry off the diagonal is finite and below every tol (a
+    consistent family's D); in the rest each may be large, NaN or infinite.
+    Each entry that may be large is small in half the draws, so a lone
+    violating entry, on the diagonal or off it, is common."""
+    n = draw(st.integers(1, 6))
+    interfering = draw(st.booleans())
+    entries = []
+    for a, b in itertools.product(range(n), repeat=2):
+        parts = _PARTS if (a == b or interfering) and draw(st.booleans()) else _SMALL
+        re, im = (draw(st.sampled_from(parts)) * draw(st.sampled_from((1, -1)))
+                  for _ in range(2))
+        entries.append(complex(re, im))
+    return np.array(entries, dtype=complex).reshape(n, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_overlap_matrices(), st.sampled_from(_TOLS))
+def test_violating_pairs_match_the_whole_triangle_search(overlaps, tol):
+    got = histories._violating_pairs(overlaps, tol)
+    want = oracles.violating_pairs(overlaps, tol)
+    for column, expected in zip((got.i, got.j, got.overlaps), want):
+        assert column.dtype == expected.dtype and column.shape == expected.shape
+        assert column.tobytes() == expected.tobytes()
+        assert not column.flags.writeable
+
+
+@pytest.mark.parametrize("tol", _TOLS)
+def test_check_consistency_pairs_match_the_whole_triangle_search_on_builtins(tol):
+    for name in BUILTIN_SOURCES:
+        for _, fam in build_scenario(builtin_scenario(name)).families:
+            kets = chain_kets(fam)
+            pairs = check_consistency(fam, tol).violating_pairs
+            want = oracles.violating_pairs(kets.conj() @ kets.T, tol)
+            for column, expected in zip((pairs.i, pairs.j, pairs.overlaps), want):
+                assert column.dtype == expected.dtype, name
+                assert column.tobytes() == expected.tobytes(), name
+
+
+def test_a_consistent_family_has_empty_pairs_in_the_found_dtypes():
+    found = check_consistency(eq23_family()).violating_pairs
+    report = check_consistency(collapse_family(oracles.ZP, GRID3, FREE2, [oracles.XP, oracles.XM]))
+    assert report.consistent
+    empty = report.violating_pairs
+    for column, full in zip((empty.i, empty.j, empty.overlaps), (found.i, found.j, found.overlaps)):
+        assert (column.shape, column.dtype) == ((0,), full.dtype)
+        assert not column.flags.writeable
+    assert (len(empty), bool(empty), tuple(empty), repr(empty)) == (0, False, (), "()")
+    golden = Path(__file__).parent / "golden"
+    for name in ("eq10-born", "eq26-unitary", "eq30-collapse-x"):
+        report = run_scenario(builtin_scenario(name))
+        assert report.all_consistent
+        text = render_report_machine(report)
+        assert text == (golden / f"{name}.machine.json").read_text(encoding="utf-8")
 
 
 def test_consistency_report_equality_and_repr():
