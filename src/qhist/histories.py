@@ -40,11 +40,14 @@ overlaps then follow as one matrix, the decoherence functional D = K^dag K
 with D[a, b] = <alpha_a|alpha_b> (Gell-Mann & Hartle, Phys. Rev. D 47, 3345
 (1993)); its real diagonal holds the probabilities, and the family is
 orthogonal when no entry above the diagonal exceeds ``tol`` (Griffiths,
-J. Stat. Phys. 36, 219 (1984)). Pairs are listed only when some entry off
-the diagonal exceeds ``tol``: a consistent family exceeds it on the
-diagonal alone, so a read of one forms D, |D| and one count, and searches
-for no pair. :func:`chain_kets` returns K; the verdict keeps its pairs as
-an :class:`OverlapPairs`, which the report writes as is.
+J. Stat. Phys. 36, 219 (1984)). D too depends only on the family, so the
+first check forms it once and keeps what it says before any ``tol``
+(``Family._decoherence``): the probabilities, their sum and the largest
+|D(i, j)| over i < j. A later check reads its verdict off that record, and
+forms D again only when some pair may exceed ``tol``, to list the pairs;
+so a read of a consistent family forms no D. :func:`chain_kets` returns K;
+the verdict keeps its pairs as an :class:`OverlapPairs`, which the report
+writes as is.
 
 Probabilities of a family that fails the check are quantum-mechanically
 meaningless; asking for them raises :class:`QueryOnInconsistentFamily`.
@@ -119,9 +122,10 @@ class Family:
     the list of member histories. Construction validates shape only; whether
     the family is actually consistent is the verdict of
     :func:`check_consistency`. The family walks its event-prefix tree on
-    the first read and keeps that record, read-only; a family made from this
-    one (by ``dataclasses.replace``, ``refine`` or
-    ``replace_events_with_identity``) walks its own."""
+    the first read and keeps that record, and its first check keeps what D
+    says before any ``tol``, both read-only; a family made from this one (by
+    ``dataclasses.replace``, ``refine`` or ``replace_events_with_identity``)
+    walks and checks its own."""
 
     initial_state: np.ndarray = field(repr=False)
     grid: TimeGrid
@@ -142,6 +146,8 @@ class Family:
     _tree: tuple[np.ndarray, np.ndarray, tuple[int, ...]] = field(init=False, repr=False)
     # the walk of _tree, made on the first read and kept (see _walk)
     _walked: _Walk | None = field(default=None, init=False, repr=False)
+    # what D says before any tol, kept by the first check (see check_consistency)
+    _decoherence: _Decoherence | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         state = _initial_state(self.initial_state).copy()
@@ -361,12 +367,25 @@ def chain_kets(f: Family) -> np.ndarray:
     return _walk(f).kets
 
 
-def _violating_pairs(overlaps: np.ndarray, tol: float) -> OverlapPairs:
-    """The pairs i < j of D whose |D(i, j)| is not within ``tol`` (NaN is
-    not), row by row. A consistent family exceeds ``tol`` on the diagonal
-    alone, so the pairs are searched for only when some entry off the
-    diagonal does; otherwise they are empty, in the same dtypes."""
-    violates = ~(np.abs(overlaps) <= tol)
+@dataclass(frozen=True, eq=False)
+class _Decoherence:
+    """What the decoherence functional D = K^dag K of a family says before
+    any ``tol`` is applied: the probabilities, D's real diagonal (read-only),
+    their sum, and the largest |D(i, j)| over i < j, which is NaN if any such
+    entry is NaN and 0.0 for a single history."""
+
+    probabilities: np.ndarray
+    probability_sum: float
+    max_offdiag: float
+
+
+def _violating_pairs(overlaps: np.ndarray, magnitudes: np.ndarray, tol: float) -> OverlapPairs:
+    """The pairs i < j of D whose |D(i, j)|, given as ``magnitudes``, is not
+    within ``tol`` (NaN is not), row by row. A consistent family exceeds
+    ``tol`` on the diagonal alone, so the pairs are searched for only when
+    some entry off the diagonal does; otherwise they are empty, in the same
+    dtypes."""
+    violates = ~(magnitudes <= tol)
     if np.count_nonzero(violates) == np.count_nonzero(violates.diagonal()):
         return OverlapPairs(_NO_INDICES, _NO_INDICES, _NO_OVERLAPS)
     rows, cols = np.nonzero(np.triu(violates, 1))
@@ -378,29 +397,47 @@ def check_consistency(f: Family, tol: float = EPS_CONS) -> ConsistencyReport:
 
     Returns a verdict for every family: inconsistent families are legal
     values, they just cannot be assigned probabilities. The verdict lists
-    the pairs i < j with |D(i, j)| above ``tol`` (or NaN); they are searched
-    for only when some entry off the diagonal exceeds ``tol``. It raises
+    the pairs i < j with |D(i, j)| above ``tol`` (or NaN). The first check
+    forms D and keeps what it says before any ``tol`` on the family: the
+    probabilities, their sum and the largest |D(i, j)| over i < j. A later
+    check, at any ``tol``, reads its verdict off that record, and forms D
+    again to list the pairs only when that largest entry is not within
+    ``tol``; so a read of a consistent family forms no D. It raises
     ValueError when ``tol`` is not finite and positive, or when the dynamics
     turn a state by a phase too large to represent (see :func:`unitary_exp`).
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     walk = _walk(f)
-    kets = walk.kets
     exhaustive = walk.exhaustive(tol)
-    overlaps = kets.conj() @ kets.T  # D = K^dag K
-    probabilities = _read_only(overlaps.diagonal().real.copy())
-    violating = _violating_pairs(overlaps, tol)
-    probability_sum = float(sum(probabilities.tolist()))
+    record = f._decoherence
+    if record is not None and record.max_offdiag <= tol:
+        violating = OverlapPairs(_NO_INDICES, _NO_INDICES, _NO_OVERLAPS)
+    else:
+        overlaps = walk.kets.conj() @ walk.kets.T  # D = K^dag K
+        magnitudes = np.abs(overlaps)
+        violating = _violating_pairs(overlaps, magnitudes, tol)
+        if record is None:
+            # every entry above the diagonal that is not a found pair is within tol
+            if violating:
+                largest = np.abs(violating.overlaps).max()
+            else:
+                ids = np.arange(len(magnitudes))
+                largest = magnitudes.max(initial=0.0, where=ids[:, None] < ids)  # i < j
+            probabilities = _read_only(overlaps.diagonal().real.copy())
+            record = _Decoherence(probabilities, float(sum(probabilities.tolist())),
+                                  float(largest))
+            object.__setattr__(f, "_decoherence", record)
     # for exhaustive + orthogonal families the weights sum to <psi0|psi0>;
     # the explicit conjunct keeps the report's invariant airtight at loose tol
-    consistent = exhaustive and not violating and abs(probability_sum - 1.0) <= max(tol, EPS_CONS)
+    consistent = (exhaustive and not violating
+                  and abs(record.probability_sum - 1.0) <= max(tol, EPS_CONS))
     return ConsistencyReport(
         consistent=consistent,
         exhaustive=exhaustive,
         violating_pairs=violating,
-        probabilities=probabilities,
-        probability_sum=probability_sum,
+        probabilities=record.probabilities,
+        probability_sum=record.probability_sum,
     )
 
 

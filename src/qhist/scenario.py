@@ -567,7 +567,16 @@ def _parse_history_line(value: str, spins: int, n_events: int, ln: int, base: in
                         events: list[dict[str, EventSpec]]) -> tuple[EventSpec, ...]:
     """One history line as its event specs. A token is parsed and checked
     against its position only the first time it appears there; ``events``
-    keeps the result for the rest of the document."""
+    keeps the result for the rest of the document. A line whose words are
+    all known tokens at their positions is split by ``str.split``. That is
+    exact: a token that parsed leaves no '(' open, so ``_split_tokens``
+    splits such a line at the same whitespace, and no piece of a token with
+    whitespace inside it parses."""
+    words = value.split()
+    if len(words) == n_events:
+        row = tuple(map(dict.get, events, words))
+        if None not in row:
+            return row
     toks = _split_tokens(value)
     if len(toks) != n_events:
         raise ValidationError(

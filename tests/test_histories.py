@@ -143,9 +143,12 @@ def test_check_consistency_not_exhaustive():
 
 def test_check_consistency_rejects_bad_tol():
     fam = eq23_family()
-    for tol in (math.nan, math.inf, -1.0, 0.0):
-        with pytest.raises(ValueError, match="finite and positive"):
-            check_consistency(fam, tol)
+    for _ in range(2):  # before the family keeps what D says, and after
+        for tol in (math.nan, math.inf, -1.0, 0.0):
+            with pytest.raises(ValueError, match="finite and positive"):
+                check_consistency(fam, tol)
+        check_consistency(fam, 0.3)
+    assert fam._decoherence is not None
 
 
 def test_check_consistency_matches_oracle_gram_on_ladder(rng):
@@ -574,7 +577,7 @@ def _overlap_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(_overlap_matrices(), st.sampled_from(_TOLS))
 def test_violating_pairs_match_the_whole_triangle_search(overlaps, tol):
-    got = histories._violating_pairs(overlaps, tol)
+    got = histories._violating_pairs(overlaps, np.abs(overlaps), tol)
     want = oracles.violating_pairs(overlaps, tol)
     for column, expected in zip((got.i, got.j, got.overlaps), want):
         assert column.dtype == expected.dtype and column.shape == expected.shape

@@ -194,6 +194,50 @@ history = z2+   x1+
     assert (err.value.line, err.value.column) == (13, 11)
 
 
+# history-line tokens valid at position 1 and at 2, one of them with
+# whitespace inside its direction; then unknown and misplaced tokens, a stray
+# ')', and the pieces of a direction cut at its whitespace
+_AT_1 = ("x1+", "z1-", "w(0.5,1.25)1+", "w( 0.5 ,\u00a01.25 )1-", "1")
+_AT_2 = ("z2+", "x2-", "w(0.5,1.25)2+", "1", "psi2")
+_PIECES = ("q1+", "z2+", "x1", "x1+)", ")", "w(0.5,", "1.25)2+", "w(0.5", "(", "w( 0.5 , 1.25")
+_LINE_SPACES = (" ", "  ", "\t", "\u00a0", "\u2003", "\u3000")
+
+
+@st.composite
+def _history_line(draw) -> str:
+    """Two tokens, each a piece in one draw of eight, and a third in one of eight."""
+    toks = [draw(st.sampled_from(_PIECES if draw(st.integers(0, 7)) == 0 else at))
+            for at in (_AT_1, _AT_2)]
+    if draw(st.integers(0, 7)) == 0:
+        toks.append(draw(st.sampled_from(_PIECES + _AT_2)))
+    return "history =" + "".join(draw(st.sampled_from(_LINE_SPACES)) + tok for tok in toks)
+
+
+def _parsed(text: str):
+    """The document, or the error's class, message, line and column."""
+    try:
+        return parse_scenario(text)
+    except scenario.ScenarioError as err:
+        return type(err), str(err), err.line, err.column
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_history_line(), min_size=1, max_size=6))
+def test_history_lines_parse_as_the_token_splitter_alone_parses_them(lines):
+    head = MINIMAL.replace("times = 0.0 1.0", "times = 0.0 1.0 2.0").split("[family")[0]
+    known = "".join(f"history = {a} {b}\n" for a, b in zip(_AT_1, _AT_2))
+    text = f"{head}[family known]\n{known}[family f]\n" + "".join(line + "\n" for line in lines)
+    slow = scenario._parse_history_line
+
+    def split_only(value, spins, n_events, ln, base, events):
+        return slow(value, spins, n_events, ln, base, [{} for _ in events])  # no token known
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenario, "_parse_history_line", split_only)
+        want = _parsed(text)
+    assert _parsed(text) == want
+
+
 def test_each_distinct_event_is_rendered_once(monkeypatch):
     rendered = []
     render = scenario.render_event

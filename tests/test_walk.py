@@ -2,7 +2,8 @@
 replaced (``oracles.per_node_walk``): the same chain kets bit for bit, and the
 same exhaustiveness verdict at every tolerance, on families of every shape
 the engine builds. Then the walk's record, read at several tolerances, and
-the Heisenberg events a family computes on its first walk and keeps."""
+the Heisenberg events a family computes on its first walk and keeps; and what
+its first check keeps of D, read at several tolerances."""
 
 import itertools
 import math
@@ -11,6 +12,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ladder_golden import ladder_text
@@ -27,6 +30,7 @@ from qhist.histories import (
     replace_events_with_identity,
 )
 from qhist.linalg import as_projector, identity, tensor
+from qhist.report import FamilyResult, Report, render_report_machine
 from qhist.scenario import build_scenario, builtin_scenario, parse_scenario
 from qhist.spin import Direction, spin_operator, spin_projector
 
@@ -330,11 +334,16 @@ def _record_arrays(record) -> tuple:
     return record.kets, record.norms, record.residuals, record.parent
 
 
+def _kept_arrays(fam) -> tuple:
+    """Every array a walked and checked family keeps."""
+    return (*_record_arrays(fam._walked), fam._decoherence.probabilities)
+
+
 def test_families_made_from_a_walked_family_share_none_of_its_record():
     fam = _compiled_families()["collapse-4"]
     _assert_walks_like_the_oracle(fam)
-    record = fam._walked
-    assert record is not None
+    record, kept = fam._walked, fam._decoherence
+    assert record is not None and kept is not None
     field = Segment(0.0, 4.0, 0.7 * spin_operator(Direction(2.0, 1.0)))
     derived = [
         replace(fam, schedule=Schedule(2, (field,))),
@@ -343,26 +352,34 @@ def test_families_made_from_a_walked_family_share_none_of_its_record():
         replace_events_with_identity(fam, 2),
         refine(fam, replace_events_with_identity(fam, 4)),
     ]
-    assert all(other._walked is None for other in derived[:-1])  # refine checks its output
+    # refine checks its output
+    assert all(other._walked is other._decoherence is None for other in derived[:-1])
     for other in derived:
         _assert_walks_like_the_oracle(other)
-        assert not any(np.shares_memory(a, b) for a in _record_arrays(other._walked)
-                       for b in _record_arrays(record))
-    assert fam._walked is record
+        assert not any(np.shares_memory(a, b) for a in _kept_arrays(other)
+                       for b in _kept_arrays(fam))
+    assert fam._walked is record and fam._decoherence is kept
 
 
 def test_the_kept_walk_record_is_read_only():
     fam = _compiled_families()["collapse-4"]
     record = _walk(fam)
     assert fam._walked is record and _walk(fam) is record
-    for a in _record_arrays(record):
+    check_consistency(fam)
+    kept = fam._decoherence
+    assert check_consistency(fam, 0.3).probabilities is kept.probabilities
+    for a in _kept_arrays(fam):
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
     with pytest.raises(AttributeError):
         fam._walked = None
     with pytest.raises(AttributeError):
+        fam._decoherence = None
+    with pytest.raises(AttributeError):
         record.kets = record.kets.copy()
+    with pytest.raises(AttributeError):
+        kept.max_offdiag = 0.0
 
 
 def test_chain_kets_returns_the_kept_read_only_k():
@@ -412,3 +429,108 @@ def test_a_re_read_family_still_walks_like_the_oracle():
             assert again == report and fam._walked is record, name
             assert chain_kets(fam).tobytes() == want_kets.tobytes(), name
             assert again.exhaustive is want_exhaustive, (name, tol)
+
+
+def _pair_searches(monkeypatch) -> list:
+    """The tol of each pair search from now on: one per D formed."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return violating_pairs(*args)
+
+    violating_pairs = histories._violating_pairs
+    monkeypatch.setattr(histories, "_violating_pairs", counted)
+    return calls
+
+
+@pytest.mark.parametrize("first", ["check_consistency", "history_probability", "query"])
+def test_only_a_consistent_family_s_first_check_forms_d(monkeypatch, first):
+    fam = _compiled_families()["collapse-4"]
+    calls = _pair_searches(monkeypatch)
+    READS[first](fam, 1e-9)
+    for tol in (1e-9, 1e-3):
+        READS["history_probability"](fam, tol)
+        assert READS["query"](fam, tol).meaningful
+    assert calls == [1e-9]
+    assert 0.0 <= fam._decoherence.max_offdiag <= 1e-9
+
+
+def test_a_re_check_below_the_largest_entry_lists_its_pairs(monkeypatch):
+    fam = build_scenario(builtin_scenario("eq23")).families[0][1]
+    assert check_consistency(fam, 0.3).consistent  # |D(1, 3)| = |D(2, 4)| = 0.25
+    assert fam._decoherence.max_offdiag == 0.25
+    calls = _pair_searches(monkeypatch)
+    for tol in (0.25, 0.2499, 1e-9):
+        report = check_consistency(fam, tol)
+        want = check_consistency(build_scenario(builtin_scenario("eq23")).families[0][1], tol)
+        _assert_same_report(report, want)
+        assert report.consistent is (tol == 0.25)
+    # the fresh families search at every tol, the kept one only below 0.25
+    assert calls == [0.25, 0.2499, 0.2499, 1e-9, 1e-9]
+    kets = chain_kets(fam)
+    pairs = check_consistency(fam, 1e-9).violating_pairs
+    assert [(i, j) for i, j, _ in pairs] == [(1, 3), (2, 4)]
+    for column, expected in zip((pairs.i, pairs.j, pairs.overlaps),
+                                oracles.violating_pairs(kets.conj() @ kets.T, 1e-9)):
+        assert column.tobytes() == expected.tobytes()
+
+
+def _machine(report) -> str:
+    return render_report_machine(Report("kept", (FamilyResult(
+        "f", report.consistent, report.exhaustive, report.violating_pairs,
+        report.probabilities),)))
+
+
+def _assert_same_report(got, want):
+    """Equal flags and pairs, the same bits, and the same machine bytes."""
+    assert (got.consistent, got.exhaustive) == (want.consistent, want.exhaustive)
+    columns = ((r.violating_pairs.i, r.violating_pairs.j, r.violating_pairs.overlaps)
+               for r in (got, want))
+    for a, b in zip(*columns):
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+    assert got.probabilities.tobytes() == want.probabilities.tobytes()
+    assert np.float64(got.probability_sum).tobytes() == np.float64(want.probability_sum).tobytes()
+    assert _machine(got) == _machine(want)
+
+
+# eight histories over three times, for drawn chain kets of one spin
+_ROWS = list(_z_rows(3, Direction(1.1, 0.3)))
+# parts of a drawn ket entry: zero, round-off to order one, and non-finite
+_KET_PARTS = (0.0, 1e-12, 1e-6, 1e-3, 0.1, 0.7, math.nan, math.inf)
+_CHECK_TOLS = (1e-12, 1e-9, 1e-5, 1e-3, 0.1, 0.5, 2.0)
+
+
+@st.composite
+def _kept_checks(draw):
+    """Chain kets for N = 1..8 histories, finite in half the draws, and a
+    sequence of tols around the largest |D(i, j)| over i < j, with that
+    entry and its neighbouring floats among them."""
+    n = draw(st.integers(1, len(_ROWS)))
+    parts = _KET_PARTS if draw(st.booleans()) else _KET_PARTS[:-2]
+    entries = [complex(*(draw(st.sampled_from(parts)) * draw(st.sampled_from((1, -1)))
+                         for _ in range(2))) for _ in range(2 * n)]
+    kets = np.array(entries, dtype=complex).reshape(n, 2)
+    kets.setflags(write=False)
+    tols = list(_CHECK_TOLS)
+    with np.errstate(invalid="ignore", over="ignore"):
+        largest = float(np.triu(np.abs(kets.conj() @ kets.T), 1).max())
+    if 0.0 < largest < math.inf:
+        tols += [largest, math.nextafter(largest, 0.0), math.nextafter(largest, math.inf)]
+    return n, kets, draw(st.lists(st.sampled_from(tols), min_size=1, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kept_checks())
+def test_a_kept_family_checks_like_a_fresh_one_at_every_tol(case):
+    n, kets, tols = case
+
+    def family():
+        fam = family_from_event_table(oracles.ZP, _grid(3), Schedule.free(2), _ROWS[:n])
+        object.__setattr__(fam, "_walked", replace(_walk(fam), kets=kets))
+        return fam
+
+    kept = family()
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 in D
+        for tol in tols:
+            _assert_same_report(check_consistency(kept, tol), check_consistency(family(), tol))
