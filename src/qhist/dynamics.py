@@ -7,6 +7,7 @@ are raw dimensionless numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +17,7 @@ from .linalg import EPS_OP, _is_hermitian, as_operator, identity, max_abs, unita
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing times t0 < t1 < ... < tn; events live at t1..tn."""
+    """Strictly increasing finite times t0 < t1 < ... < tn; events live at t1..tn."""
 
     times: tuple[float, ...]
 
@@ -24,6 +25,8 @@ class TimeGrid:
         times = tuple(float(t) for t in self.times)
         if len(times) < 1:
             raise ValueError("a time grid needs at least one time")
+        if not all(math.isfinite(t) for t in times):
+            raise ValueError(f"grid times must be finite: {times}")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError(f"grid times must be strictly increasing: {times}")
         object.__setattr__(self, "times", times)
@@ -109,8 +112,8 @@ def _spectrum(seg: Segment) -> tuple[np.ndarray, np.ndarray]:
 
 def propagator(schedule: Schedule, t_a: float, t_b: float) -> np.ndarray:
     """Time-ordered propagator U(t_a -> t_b); uncovered stretches are free."""
-    if t_b < t_a:
-        raise ValueError(f"propagator needs t_a <= t_b, got {t_a} > {t_b}")
+    if not t_a <= t_b:  # NaN fails too
+        raise ValueError(f"propagator needs t_a <= t_b, got t_a={t_a}, t_b={t_b}")
     u = identity(schedule.dim)
     for seg in schedule.segments:  # sorted by start time
         lo = max(t_a, seg.t_start)

@@ -496,6 +496,8 @@ def collapse_family(
         raise ValueError("observable basis is not orthonormal")
     if labels is None:
         labels = tuple(f"e{k}" for k in range(dim))
+    elif len(labels) != dim:
+        raise ValueError(f"collapse_family has {len(labels)} labels for {dim} basis vectors")
 
     shared = _unitary_events(psi0, grid, schedule, grid.n_events - 1)
     histories = []

@@ -18,27 +18,28 @@ A :class:`FamilyResult` keeps the verdict's own columns: the
 probabilities. Nothing is rounded until a writer runs; the two writers are
 the only place that rounds and formats, and neither makes a tuple per pair.
 
-The machine writer makes no Python string per number or per pair. It lays
-out a family's pairs array as one matrix of ASCII bytes, one row per pair:
-the fixed pieces of the layout are the same bytes in every row, numpy
-writes each index and number into its own columns (NUL where a shorter
-text leaves room), and one ``bytes.translate`` drops the NULs. The
-probabilities array is laid out the same way. A number 1e-11 <= |x| < 1 of
-decimal exponent e gets its 12 digits from rint(s), s = |x| * 10**(11 - e):
-the scale is an exact double for e >= -11 and s < 2**40, so s is rounded
-once, by at most 2**-14, and rint(s) is the "%.12g" digit string unless s
-lies within 2**-14 of a half-integer. Its sign, "0." and leading zeros or
-its exponent come from small tables, and its trailing zeros are dropped.
-Every other value goes to the per-value path (:func:`_json_texts`): a
-value with |frac(s) - 1/2| <= 1e-3 (near-ties, with a margin over 2**-14),
-with s outside [1e11, 1e12 - 1) (a wrong decade, or digits that round up
-into the next one), or outside that range (0.0, 1.0, non-finite values and
-every value json spells otherwise than the layout). On seeded ladders that
-is about 0.2% of the numbers. The output stays byte for byte the
-``json.dumps(..., indent=2)`` of the layout above, every number rounded by
-:func:`round12`, plus a newline. The text writer fills one ``%.12g``
-template per pair with the snapped floats: ``%.12g`` of ``round12(x)`` is
-``%.12g`` of ``x`` for every ``|x| >= 1e-12``.
+Neither writer makes a Python string per number or per pair. Each lays
+out a family's pairs, and its probabilities, as one matrix of ASCII bytes,
+one row per value: the fixed pieces of the layout are the same bytes in
+every row, numpy writes each index and number into its own columns (NUL
+where a shorter text leaves room), and one ``bytes.translate`` drops the
+NULs. A number 1e-11 <= |x| < 1 of decimal exponent e gets its 12 digits
+from rint(s), s = |x| * 10**(11 - e): the scale is an exact double for
+e >= -11 and s < 2**40, so s is rounded once, by at most 2**-14, and
+rint(s) is the "%.12g" digit string unless s lies within 2**-14 of a
+half-integer. Its sign, "0." and leading zeros or its exponent come from
+small tables, and its trailing zeros are dropped: the bytes of both
+``json.dumps(round12(x))`` and ``"%.12g" % x``, which switch to the
+exponent form below 1e-4 alike and do not pad. Every other value goes to
+the writer's per-value path: a value with |frac(s) - 1/2| <= 1e-3
+(near-ties, with a margin over 2**-14), with s outside [1e11, 1e12 - 1) (a
+wrong decade, or digits that round up into the next one), or outside that
+range (0.0, 1.0, non-finite values and every value json or "%.12g" spells
+otherwise). On seeded ladders that is about 0.2% of the numbers. The
+machine writer spells them by :func:`_json_texts`, so its output stays
+byte for byte the ``json.dumps(..., indent=2)`` of the layout above, every
+number rounded by :func:`round12`, plus a newline; the text writer by
+:func:`_g12_texts`, ``"%.12g"`` of ``round12(x)``.
 """
 
 from __future__ import annotations
@@ -70,6 +71,12 @@ def _snapped(a: np.ndarray) -> np.ndarray:
     return np.where(np.abs(a) < _ZERO_BELOW, 0.0, a)
 
 
+def _g12_texts(values) -> list[str]:
+    """``"%.12g" % round12(x)`` for every value, in one pass: the text writer's per-value path."""
+    a = _snapped(np.asarray(values, dtype=float))
+    return ("%.12g " * a.size % tuple(a.tolist())).split(" ")[:-1]
+
+
 def _json_texts(values) -> list[str]:
     """``json.dumps(round12(x))`` for every value, from one "%.12g" pass:
     the machine writer's path for the values its number layout leaves out.
@@ -83,7 +90,7 @@ def _json_texts(values) -> list[str]:
     other values are looked at again: a text with a "." and no "e+1"
     exponent is json's already, and any other goes through json.dumps."""
     a = _snapped(np.asarray(values, dtype=float))
-    texts = ("%.12g " * a.size % tuple(a.tolist())).split(" ")[:-1]
+    texts = _g12_texts(a)
     with np.errstate(invalid="ignore"):  # inf - inf
         plain = (np.abs(a - np.round(a)) > 1e-11 * np.abs(a)) & (np.abs(a) < 1e11)
     for k in np.flatnonzero(~plain).tolist():
@@ -213,10 +220,10 @@ _EXPONENTS = np.frombuffer("".join(
 _BLOCK = 4096  # values per pass, so that a pass's temporaries stay small
 
 
-def _write_numbers(values: np.ndarray, out: np.ndarray) -> None:
-    """Write ``json.dumps(round12(x))`` of every value into its row of
-    ``out``, six words. A value the layout cannot spell, or that may
-    round otherwise than "%.12g", is spelled by :func:`_json_texts`."""
+def _write_numbers(values: np.ndarray, out: np.ndarray, texts) -> None:
+    """Write every value into its row of ``out``, six words: the layout's
+    bytes, or ``texts(values)`` (the writer's per-value path, see the module
+    docstring) for a value it cannot spell or that "%.12g" may round otherwise."""
     x = np.abs(values)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # 0, inf, NaN: not fast
         index = (np.fmin(np.fmax(np.floor(np.log10(x)), -12), -1) + 12).astype(np.intp)
@@ -238,7 +245,7 @@ def _write_numbers(values: np.ndarray, out: np.ndarray) -> None:
     out[:, 5] = _EXPONENTS[index]
     slow = np.flatnonzero(~fast)
     if slow.size:
-        out[slow] = np.array(_json_texts(values[slow]), dtype="S24").view("<u4").reshape(-1, 6)
+        out[slow] = np.array(texts(values[slow]), dtype="S24").view("<u4").reshape(-1, 6)
 
 
 def _write_ints(values: np.ndarray, out: np.ndarray) -> None:
@@ -254,8 +261,8 @@ def _write_ints(values: np.ndarray, out: np.ndarray) -> None:
         out[:, 0] |= np.where(values < 0, ord("-"), 0).astype(np.uint32)
 
 
-def _numbers(values: np.ndarray) -> tuple:
-    return _write_numbers, values, 6
+def _numbers(values: np.ndarray, texts) -> tuple:
+    return (lambda v, out: _write_numbers(v, out, texts)), values, 6
 
 
 def _ints(values: np.ndarray) -> tuple:
@@ -268,7 +275,8 @@ def _rows_text(first: bytes, lead: bytes, *bands) -> str:
     ``lead`` (``first`` in the first row, padded to the length of ``lead``)
     and then the bands. A band is bytes, the same in every row, or a field
     ``(write, values, words)``: ``write(values, out)`` fills the value's
-    row of ``out``, that many little-endian 4-byte words."""
+    row of ``out``, that many little-endian 4-byte words. No rows make
+    ``first`` without its NULs."""
     row, fields = lead, []
     for band in bands:
         if not isinstance(band, bytes):
@@ -297,13 +305,13 @@ def _family_json(f: FamilyResult) -> list[str]:
     pieces = [_FAMILY_HEAD % (json.dumps(f.name), json.dumps(f.consistent), json.dumps(f.exhaustive))]
     if pairs:
         pieces += [_rows_text(_PAIR_FIRST, _PAIR_NEXT, _ints(pairs.i), _PAIR_J, _ints(pairs.j),
-                              _PAIR_RE, _numbers(pairs.overlaps.real), _PAIR_IM,
-                              _numbers(pairs.overlaps.imag)), _PAIRS_END]
+                              _PAIR_RE, _numbers(pairs.overlaps.real, _json_texts), _PAIR_IM,
+                              _numbers(pairs.overlaps.imag, _json_texts)), _PAIRS_END]
     else:
         pieces.append("[]")
     pieces.append(_FAMILY_MID)
     if probs.size:
-        pieces += [_rows_text(_PROB_FIRST, _PROB_NEXT, _numbers(probs)), _PROBS_END]
+        pieces += [_rows_text(_PROB_FIRST, _PROB_NEXT, _numbers(probs, _json_texts)), _PROBS_END]
     else:
         pieces.append("[]")
     pieces.append(_FAMILY_TAIL)
@@ -321,27 +329,20 @@ def render_report_machine(report: Report) -> str:
     return "".join(pieces)
 
 
-# one violating pair of the text report
-_PAIR_TEXT = "    (%d, %d): overlap re=%.12g im=%.12g"
-
-
 def render_report_text(report: Report) -> str:
     lines = [f"scenario: {report.scenario}"]
     for f in report.families:
         verdict = "consistent" if f.consistent else "inconsistent"
         lines.append(f"family {f.name}: {verdict} (exhaustive: {'yes' if f.exhaustive else 'no'})")
         if f.consistent:
-            probs = [round12(p) for p in f.probabilities]
-            lines.append("  probabilities: " + ", ".join(["%.12g"] * len(probs)) % tuple(probs))
-            lines.append(f"  probability sum: {sum(probs):.12g}")
+            probs = np.asarray(f.probabilities, dtype=float)
+            lines.append("  probabilities: " + _rows_text(b"", b", ", _numbers(probs, _g12_texts)))
+            lines.append(f"  probability sum: {sum(map(round12, probs.tolist())):.12g}")
         else:
             pairs = f.violating_pairs
             lines.append(f"  violating pairs ({len(pairs)}):")
             if pairs:
-                values = [None] * (4 * len(pairs))
-                values[0::4] = pairs.i.tolist()
-                values[1::4] = pairs.j.tolist()
-                values[2::4] = _snapped(pairs.overlaps.real).tolist()
-                values[3::4] = _snapped(pairs.overlaps.imag).tolist()
-                lines.append("\n".join([_PAIR_TEXT] * len(pairs)) % tuple(values))
+                lines.append(_rows_text(b"    (", b"\n    (", _ints(pairs.i), b", ", _ints(pairs.j),
+                                        b"): overlap re=", _numbers(pairs.overlaps.real, _g12_texts),
+                                        b" im=", _numbers(pairs.overlaps.imag, _g12_texts)))
     return "\n".join(lines) + "\n"

@@ -35,6 +35,14 @@ def test_time_grid_validation():
         grid.time_at(3)
 
 
+@pytest.mark.parametrize("times", [(0.0, math.nan), (math.nan,), (0.0, math.inf),
+                                   (-math.inf, 0.0), (0.0, 1.0, math.nan, 3.0)])
+def test_time_grid_rejects_non_finite_times(times):
+    # a NaN fails every "b <= a", so the increasing test alone let it through
+    with pytest.raises(ValueError, match="finite"):
+        TimeGrid(times)
+
+
 def test_segment_validation():
     with pytest.raises(ValueError, match="empty"):
         Segment(1.0, 1.0, np.zeros((2, 2)))
@@ -99,6 +107,14 @@ def test_propagator_covers_gaps_freely():
 def test_propagator_rejects_reversed_interval():
     with pytest.raises(ValueError, match="t_a <= t_b"):
         propagator(Schedule.free(2), 2.0, 1.0)
+
+
+@pytest.mark.parametrize("t_a, t_b", [(0.0, math.nan), (math.nan, 1.0), (math.nan, math.nan)])
+def test_propagator_rejects_a_nan_time(t_a, t_b):
+    # no segment overlap is positive for a NaN end, which read as the identity
+    s = Schedule(dim=2, segments=(Segment(0.0, 2.0, oracles.SY),))
+    with pytest.raises(ValueError, match="t_a <= t_b"):
+        propagator(s, t_a, t_b)
 
 
 def _random_schedule(rng, dim):

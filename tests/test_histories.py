@@ -357,6 +357,13 @@ def test_collapse_family_rejects_bad_basis():
         collapse_family(oracles.ZP, GRID3, FREE2, [np.eye(2), oracles.ZM])
 
 
+@pytest.mark.parametrize("labels", [(), ("up",), ("up", "down", "sideways")])
+def test_collapse_family_needs_one_label_per_basis_vector(labels):
+    # a short tuple used to drop the basis vectors it had no label for
+    with pytest.raises(ValueError, match="labels for 2 basis vectors"):
+        collapse_family([1, 0], GRID3, FREE2, [[1, 0], [0, 1]], labels=labels)
+
+
 def test_replace_events_with_identity_coarse_grains_eq23():
     coarse = replace_events_with_identity(eq23_family(), 2)
     assert len(coarse.histories) == 2

@@ -19,6 +19,7 @@ from qhist.histories import OverlapPairs, check_consistency
 from qhist.report import (
     FamilyResult,
     Report,
+    _g12_texts,
     _json_texts,
     render_report_machine,
     render_report_text,
@@ -168,28 +169,48 @@ POWERS_OF_TEN = st.builds(lambda e, side, sign: nudged(float(f"1e{e}"), side, si
                           st.integers(-14, 2), SIDES, SIGNS)
 
 
+NUMBERS = st.lists(st.one_of(st.floats(), MIDPOINTS, POWERS_OF_TEN), min_size=1, max_size=60)
+
+
 @settings(max_examples=250, deadline=None)
-@given(st.lists(st.one_of(st.floats(), MIDPOINTS, POWERS_OF_TEN), min_size=1, max_size=60))
+@given(NUMBERS)
 def test_machine_numbers_equal_json_dumps_of_round12(values):
     assert machine_numbers(values) == [json.dumps(round12(x)) for x in values]
 
 
+@settings(max_examples=250, deadline=None)
+@given(NUMBERS)
+def test_text_numbers_equal_g12_of_round12(values):
+    pairs = pairs_of((k, k + 1, re, im) for k, (re, im) in enumerate(zip(values, reversed(values))))
+    report = Report("s", (FamilyResult("p", True, True, pairs_of(()), probs(*values)),
+                          FamilyResult("q", False, True, pairs, probs())))
+    assert render_report_text(report) == reference_text(report)
+
+
 def test_the_number_layout_spells_nearly_every_number_of_a_ladder(monkeypatch):
-    """The per-value path (_json_texts) takes the values the layout cannot
-    spell: near-ties, 0.0 and the like, well under 1% of a ladder's numbers."""
+    """Each writer's per-value path (_json_texts, _g12_texts) takes the
+    values the layout cannot spell: near-ties, 0.0 and the like, well under
+    1% of a ladder's numbers."""
     report = run_scenario(parse_scenario(ladder_text(random.Random(1), 8)))
-    spelled = []
+    spelled = {_json_texts: [], _g12_texts: []}
 
-    def counting(values):
-        spelled.append(len(values))
-        return _json_texts(values)
+    def counting(texts):
+        def spell(values):
+            spelled[texts].append(len(values))
+            return texts(values)
+        return spell
 
-    monkeypatch.setattr(report_module, "_json_texts", counting)
+    monkeypatch.setattr(report_module, "_json_texts", counting(_json_texts))
     machine = render_report_machine(report)
+    monkeypatch.setattr(report_module, "_g12_texts", counting(_g12_texts))
+    text = render_report_text(report)
     numbers = sum(2 * len(f.violating_pairs) + len(f.probabilities) for f in report.families)
-    assert sum(spelled) > 0, "the writer no longer sends values through _json_texts"
-    assert numbers > 30000 and sum(spelled) < 0.01 * numbers
+    assert numbers > 30000
+    for texts, counts in spelled.items():
+        assert sum(counts) > 0, f"a writer no longer sends values through {texts.__name__}"
+        assert sum(counts) < 0.01 * numbers, f"{texts.__name__} spells too many numbers"
     assert machine == json.dumps(oracles.report_to_dict(report), indent=2) + "\n"
+    assert text == reference_text(report)
 
 
 def test_family_result_equality_and_replace():
