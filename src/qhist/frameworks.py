@@ -143,14 +143,16 @@ def refine(f: Family, g: Family, tol: float = EPS_CONS) -> Family:
     if not schedules_equal(f.schedule, g.schedule):
         raise ValueError("refine needs families with the same dynamics")
 
-    for k, (f_events, g_events) in enumerate(zip(f._branches, g._branches), start=1):
-        for fl, fp in f_events.items():
-            for gl, gp in g_events.items():
-                if not commutes(fp.matrix, gp.matrix):
-                    raise IncompatibleFrameworks(
-                        "non-commuting",
-                        f"events {fl!r} and {gl!r} at time {k} do not commute",
-                    )
+    # the events' matrices are certified and of one dim, as in query
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (f_events, g_events) in enumerate(zip(f._branches, g._branches), start=1):
+            for fl, fp in f_events.items():
+                for gl, gp in g_events.items():
+                    if not _commute(fp.matrix, gp.matrix, fp.matrix @ gp.matrix):
+                        raise IncompatibleFrameworks(
+                            "non-commuting",
+                            f"events {fl!r} and {gl!r} at time {k} do not commute",
+                        )
 
     # one certified product per (time, f-label, g-label), made on first use;
     # None marks a jointly impossible pair

@@ -30,24 +30,22 @@ events back to t0 at once, then forms every ket of the level in one batched
 product of each node's Heisenberg event with its parent's ket. The last
 level's kets are the N chain kets, the rows of K. For each inner node with
 ket |chi> the walk also keeps ||chi|| and the residual
-||sum_c P^_c chi - chi|| over its children. That record depends only on the
-family, so the family walks once and keeps it (``Family._walked``): every
-later check, at any ``tol``, and every read calls no propagator and forms no
-ket. It holds no tolerance: :func:`check_consistency` reads the
-exhaustiveness verdict off it for the ``tol`` it is given, where a node whose
-norm, or an ancestor's, is at most ``tol`` is dead and not tested. All
-overlaps then follow as one matrix, the decoherence functional D = K^dag K
-with D[a, b] = <alpha_a|alpha_b> (Gell-Mann & Hartle, Phys. Rev. D 47, 3345
-(1993)); its real diagonal holds the probabilities, and the family is
-orthogonal when no entry above the diagonal exceeds ``tol`` (Griffiths,
-J. Stat. Phys. 36, 219 (1984)). D too depends only on the family, so the
-first check forms it once and keeps what it says before any ``tol``
-(``Family._decoherence``): the probabilities, their sum and the largest
-|D(i, j)| over i < j. A later check reads its verdict off that record, and
-forms D again only when some pair may exceed ``tol``, to list the pairs;
-so a read of a consistent family forms no D. :func:`chain_kets` returns K;
-the verdict keeps its pairs as an :class:`OverlapPairs`, which the report
-writes as is.
+||sum_c P^_c chi - chi|| over its children. All overlaps then follow as one
+matrix, the decoherence functional D = K^dag K with D[a, b] =
+<alpha_a|alpha_b> (Gell-Mann & Hartle, Phys. Rev. D 47, 3345 (1993)): its
+real diagonal holds the probabilities, and the family is orthogonal when no
+entry above the diagonal exceeds ``tol`` (Griffiths, J. Stat. Phys. 36, 219
+(1984)). The walk forms D once and keeps what it says before any ``tol``:
+the probabilities, their sum and the largest |D(i, j)| over i < j. That
+record depends only on the family, so the family keeps it from its first
+read (``Family._walked``): every later check, at any ``tol``, and every read
+calls no propagator and forms no ket. :func:`check_consistency` reads its
+verdict off the record for the ``tol`` it is given: a node whose norm, or an
+ancestor's, is at most ``tol`` is dead and not tested for exhaustiveness,
+and D is formed again, to list the pairs, only when the largest entry is
+not within ``tol``; so a read of a consistent family forms no D.
+:func:`chain_kets` returns K; the verdict keeps its pairs as an
+:class:`OverlapPairs`, which the report writes as is.
 
 Probabilities of a family that fails the check are quantum-mechanically
 meaningless; asking for them raises :class:`QueryOnInconsistentFamily`.
@@ -122,10 +120,9 @@ class Family:
     the list of member histories. Construction validates shape only; whether
     the family is actually consistent is the verdict of
     :func:`check_consistency`. The family walks its event-prefix tree on
-    the first read and keeps that record, and its first check keeps what D
-    says before any ``tol``, both read-only; a family made from this one (by
-    ``dataclasses.replace``, ``refine`` or ``replace_events_with_identity``)
-    walks and checks its own."""
+    the first read and keeps that read-only record, with what D says before
+    any ``tol``; a family made from this one (by ``dataclasses.replace``,
+    ``refine`` or ``replace_events_with_identity``) walks its own."""
 
     initial_state: np.ndarray = field(repr=False)
     grid: TimeGrid
@@ -144,10 +141,8 @@ class Family:
     # position of its event in its time's _branches; then the first id of each
     # level, and the node count.
     _tree: tuple[np.ndarray, np.ndarray, tuple[int, ...]] = field(init=False, repr=False)
-    # the walk of _tree, made on the first read and kept (see _walk)
+    # the walk of _tree and what its D says, made on the first read and kept (see _walk)
     _walked: _Walk | None = field(default=None, init=False, repr=False)
-    # what D says before any tol, kept by the first check (see check_consistency)
-    _decoherence: _Decoherence | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         state = _initial_state(self.initial_state).copy()
@@ -296,9 +291,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# the columns of an empty OverlapPairs, in the dtypes of a found one
-_NO_INDICES = _read_only(np.empty(0, dtype=np.intp))
-_NO_OVERLAPS = _read_only(np.empty(0, dtype=complex))
+# the pairs of an orthogonal family: empty columns, in the dtypes of found ones
+_NO_PAIRS = OverlapPairs(*(_read_only(np.empty(0, dtype=t))
+                            for t in (np.intp, np.intp, complex)))
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -310,14 +305,30 @@ def _norms(v: np.ndarray) -> np.ndarray:
 class _Walk:
     """What one walk of the event-prefix tree finds, before any ``tol`` is
     applied: K, and for each inner node (ids as in ``Family._tree``) the norm
-    of its ket chi and its exhaustiveness residual ||sum_c P^_c chi - chi||,
-    all read-only. ``parent`` and ``starts`` are the family's tree."""
+    of its ket chi and its exhaustiveness residual ||sum_c P^_c chi - chi||;
+    ``parent`` and ``starts`` are the family's tree. Made from K, it forms
+    D = K^dag K once and keeps what D says: the probabilities, D's real
+    diagonal, their sum, and ``max_offdiag``, the largest |D(i, j)| over
+    i < j, which is NaN if any such entry is NaN and 0.0 for a single
+    history. Every array is read-only."""
 
     kets: np.ndarray
     norms: np.ndarray
     residuals: np.ndarray
     parent: np.ndarray
     starts: tuple[int, ...]
+    probabilities: np.ndarray = field(init=False)
+    probability_sum: float = field(init=False)
+    max_offdiag: float = field(init=False)
+
+    def __post_init__(self):
+        overlaps = self.kets.conj() @ self.kets.T  # D = K^dag K
+        probabilities = _read_only(overlaps.diagonal().real.copy())
+        ids = np.arange(len(overlaps))
+        largest = np.abs(overlaps).max(initial=0.0, where=ids[:, None] < ids)  # i < j
+        object.__setattr__(self, "probabilities", probabilities)
+        object.__setattr__(self, "probability_sum", float(sum(probabilities.tolist())))
+        object.__setattr__(self, "max_offdiag", float(largest))
 
     def exhaustive(self, tol: float) -> bool:
         """Whether every live inner node passes the exhaustiveness test. A
@@ -336,8 +347,9 @@ def _walk(f: Family) -> _Walk:
     """The family's walk of its event-prefix tree, one event time at a time:
     conjugate that time's events back to t0 (one propagator), then form the
     level's kets, their parents' kets times their events' Heisenberg
-    projectors, in one batched product. The first call walks and keeps the
-    read-only record on the family; a walk that raises keeps nothing."""
+    projectors, in one batched product; then form D once. The first call
+    walks and keeps the read-only record on the family; a walk that raises
+    keeps nothing."""
     if f._walked is None:
         parent, code, starts = f._tree
         kets = np.empty((starts[-1], f.dim), dtype=complex)
@@ -367,28 +379,11 @@ def chain_kets(f: Family) -> np.ndarray:
     return _walk(f).kets
 
 
-@dataclass(frozen=True, eq=False)
-class _Decoherence:
-    """What the decoherence functional D = K^dag K of a family says before
-    any ``tol`` is applied: the probabilities, D's real diagonal (read-only),
-    their sum, and the largest |D(i, j)| over i < j, which is NaN if any such
-    entry is NaN and 0.0 for a single history."""
-
-    probabilities: np.ndarray
-    probability_sum: float
-    max_offdiag: float
-
-
-def _violating_pairs(overlaps: np.ndarray, magnitudes: np.ndarray, tol: float) -> OverlapPairs:
-    """The pairs i < j of D whose |D(i, j)|, given as ``magnitudes``, is not
-    within ``tol`` (NaN is not), row by row. A consistent family exceeds
-    ``tol`` on the diagonal alone, so the pairs are searched for only when
-    some entry off the diagonal does; otherwise they are empty, in the same
-    dtypes."""
-    violates = ~(magnitudes <= tol)
-    if np.count_nonzero(violates) == np.count_nonzero(violates.diagonal()):
-        return OverlapPairs(_NO_INDICES, _NO_INDICES, _NO_OVERLAPS)
-    rows, cols = np.nonzero(np.triu(violates, 1))
+def _violating_pairs(kets: np.ndarray, tol: float) -> OverlapPairs:
+    """The pairs i < j of D = K^dag K, for K given as ``kets``, whose
+    |D(i, j)| is not within ``tol`` (NaN is not), row by row."""
+    overlaps = kets.conj() @ kets.T
+    rows, cols = np.nonzero(np.triu(~(np.abs(overlaps) <= tol), 1))
     return OverlapPairs(*map(_read_only, (rows + 1, cols + 1, overlaps[rows, cols])))
 
 
@@ -397,37 +392,22 @@ def check_consistency(f: Family, tol: float = EPS_CONS) -> ConsistencyReport:
 
     Returns a verdict for every family: inconsistent families are legal
     values, they just cannot be assigned probabilities. The verdict lists
-    the pairs i < j with |D(i, j)| above ``tol`` (or NaN). The first check
-    forms D and keeps what it says before any ``tol`` on the family: the
-    probabilities, their sum and the largest |D(i, j)| over i < j. A later
-    check, at any ``tol``, reads its verdict off that record, and forms D
-    again to list the pairs only when that largest entry is not within
-    ``tol``; so a read of a consistent family forms no D. It raises
-    ValueError when ``tol`` is not finite and positive, or when the dynamics
-    turn a state by a phase too large to represent (see :func:`unitary_exp`).
+    the pairs i < j with |D(i, j)| above ``tol`` (or NaN). It is read off
+    the family's record (see :func:`_walk`), at any ``tol``; D is formed
+    again, to list the pairs, only when the record's largest |D(i, j)| over
+    i < j is not within ``tol``, so a read of a consistent family forms no
+    D. It raises ValueError when ``tol`` is not finite and positive, or when
+    the dynamics turn a state by a phase too large to represent (see
+    :func:`unitary_exp`).
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    walk = _walk(f)
-    exhaustive = walk.exhaustive(tol)
-    record = f._decoherence
-    if record is not None and record.max_offdiag <= tol:
-        violating = OverlapPairs(_NO_INDICES, _NO_INDICES, _NO_OVERLAPS)
+    record = _walk(f)
+    exhaustive = record.exhaustive(tol)
+    if record.max_offdiag <= tol:
+        violating = _NO_PAIRS
     else:
-        overlaps = walk.kets.conj() @ walk.kets.T  # D = K^dag K
-        magnitudes = np.abs(overlaps)
-        violating = _violating_pairs(overlaps, magnitudes, tol)
-        if record is None:
-            # every entry above the diagonal that is not a found pair is within tol
-            if violating:
-                largest = np.abs(violating.overlaps).max()
-            else:
-                ids = np.arange(len(magnitudes))
-                largest = magnitudes.max(initial=0.0, where=ids[:, None] < ids)  # i < j
-            probabilities = _read_only(overlaps.diagonal().real.copy())
-            record = _Decoherence(probabilities, float(sum(probabilities.tolist())),
-                                  float(largest))
-            object.__setattr__(f, "_decoherence", record)
+        violating = _violating_pairs(record.kets, tol)
     # for exhaustive + orthogonal families the weights sum to <psi0|psi0>;
     # the explicit conjunct keeps the report's invariant airtight at loose tol
     consistent = (exhaustive and not violating

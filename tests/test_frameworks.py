@@ -271,6 +271,71 @@ def test_refine_split_family_against_rotated_copy(rng):
         assert err.value.reason == "non-commuting"
 
 
+def _conditional_ladder(pool, choice, n=2):
+    """A one-spin family over n times whose analyzer at t_k depends on the
+    outcome at t_{k-1}: the (time, previous outcome) slot's ``choice``
+    measures along that direction of the pool, or asserts the identity when
+    it is ``len(pool)``."""
+    rows = [[]]
+    for k in range(1, n + 1):
+        grown = []
+        for row in rows:
+            c = choice[k, row[-1][2] if row else 0]
+            if c == len(pool):
+                grown.append(row + [("1", identity_projector(2), 0)])
+                continue
+            for s in (0, 1):
+                label = f"d{c}{'+-'[s]}"
+                ket = oracles.ket(*pool[c], 1 - 2 * s)
+                grown.append(row + [(label, projector_onto(ket, label), s)])
+        rows = grown
+    grid = TimeGrid(tuple(float(k) for k in range(n + 1)))
+    return family_from_event_table(oracles.ZP, grid, FREE2,
+                                   [[(label, p) for label, p, _ in row] for row in rows])
+
+
+def _events_at(fam, k):
+    """The distinct events at time k as {label: matrix}, in order of first appearance."""
+    events = {}
+    for h in fam.histories:
+        events.setdefault(h.events[k - 1].label, h.events[k - 1].projector.matrix)
+    return events
+
+
+def test_refine_names_the_first_non_commuting_event_pair(rng):
+    slots = [(k, s) for k in (1, 2) for s in (0, 1)]
+    firsts, swapped = [], 0
+    for _ in range(60):
+        pool = [oracles.random_direction(rng) for _ in range(2)]
+        f_choice = {slot: rng.choice(3, p=(0.45, 0.45, 0.1)) for slot in slots}
+        # g keeps each of f's slots in half the draws, so many pairs commute
+        g_choice = {slot: c if rng.random() < 0.5 else rng.choice(3, p=(0.45, 0.45, 0.1))
+                    for slot, c in f_choice.items()}
+        f, g = _conditional_ladder(pool, f_choice), _conditional_ladder(pool, g_choice)
+        # every pair that fails, by time, then f's label, then g's label
+        pairs = [(k, i, fl, j, gl) for k in (1, 2)
+                 for i, (fl, fm) in enumerate(_events_at(f, k).items())
+                 for j, (gl, gm) in enumerate(_events_at(g, k).items())
+                 if not commutes(fm, gm)]
+        try:
+            refine(f, g)
+            reason = None
+        except IncompatibleFrameworks as err:
+            reason = str(err)
+        if not pairs:
+            assert reason in (None, "inconsistent: the combined event products do not "
+                                    "form a consistent family")
+        else:
+            k, _, fl, _, gl = pairs[0]
+            assert reason == f"non-commuting: events {fl!r} and {gl!r} at time {k} do not commute"
+            swapped += pairs[0] != min(pairs, key=lambda p: (p[0], p[3], p[1]))
+        firsts.append(pairs[0] if pairs else None)
+    # both verdicts occur, failures at each time, and draws where trying g's
+    # labels first would name another pair
+    assert None in firsts and {first[0] for first in firsts if first} == {1, 2}
+    assert swapped > 0
+
+
 def test_refine_symmetric_when_it_succeeds():
     # z framework refined with its own coarse-graining, both ways around
     fine = frame_family(Z, labels=("z1+", "z1-"))

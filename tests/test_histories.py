@@ -143,12 +143,12 @@ def test_check_consistency_not_exhaustive():
 
 def test_check_consistency_rejects_bad_tol():
     fam = eq23_family()
-    for _ in range(2):  # before the family keeps what D says, and after
+    for walked in (False, True):  # before the family keeps its record, and after
         for tol in (math.nan, math.inf, -1.0, 0.0):
             with pytest.raises(ValueError, match="finite and positive"):
                 check_consistency(fam, tol)
+        assert (fam._walked is not None) is walked  # a bad tol walks nothing
         check_consistency(fam, 0.3)
-    assert fam._decoherence is not None
 
 
 def test_check_consistency_matches_oracle_gram_on_ladder(rng):
@@ -564,12 +564,13 @@ _TOLS = (1e-10, 1e-3, 0.3)
 
 
 @st.composite
-def _overlap_matrices(draw):
-    """A random complex N x N matrix, N = 1..6, not Hermitian. In half the
-    draws every entry off the diagonal is finite and below every tol (a
-    consistent family's D); in the rest each may be large, NaN or infinite.
-    Each entry that may be large is small in half the draws, so a lone
-    violating entry, on the diagonal or off it, is common."""
+def _ket_matrices(draw):
+    """A random complex K of N chain kets in dimension N, N = 1..6. In half
+    the draws every entry off the diagonal is finite and below every tol, so
+    the kets are nearly orthogonal (a consistent family's K); in the rest
+    each may be large, NaN or infinite. Each entry that may be large is small
+    in half the draws, so a lone large entry, on the diagonal or off it, is
+    common."""
     n = draw(st.integers(1, 6))
     interfering = draw(st.booleans())
     entries = []
@@ -581,15 +582,27 @@ def _overlap_matrices(draw):
     return np.array(entries, dtype=complex).reshape(n, n)
 
 
+_BASIS_FAMILIES = {
+    n: family_from_event_table(
+        np.eye(n)[0], GRID2, Schedule.free(n),
+        [[(f"e{a}", projector_onto(np.eye(n)[a]))] for a in range(n)])
+    for n in range(1, 7)
+}
+
+
 @settings(max_examples=200, deadline=None)
-@given(_overlap_matrices(), st.sampled_from(_TOLS))
-def test_violating_pairs_match_the_whole_triangle_search(overlaps, tol):
-    got = histories._violating_pairs(overlaps, np.abs(overlaps), tol)
-    want = oracles.violating_pairs(overlaps, tol)
+@given(_ket_matrices(), st.sampled_from(_TOLS))
+def test_violating_pairs_match_the_whole_triangle_search(kets, tol):
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 in D
+        got = histories._violating_pairs(kets, tol)
+        want = oracles.violating_pairs(kets.conj() @ kets.T, tol)
+        # the record a family with these chain kets keeps
+        record = replace(histories._walk(_BASIS_FAMILIES[len(kets)]), kets=kets)
     for column, expected in zip((got.i, got.j, got.overlaps), want):
         assert column.dtype == expected.dtype and column.shape == expected.shape
         assert column.tobytes() == expected.tobytes()
         assert not column.flags.writeable
+    assert (record.max_offdiag <= tol) is (len(want[0]) == 0)
 
 
 @pytest.mark.parametrize("tol", _TOLS)

@@ -1,14 +1,14 @@
 """The batched walk of the event-prefix tree against the per-node walk it
 replaced (``oracles.per_node_walk``): the same chain kets bit for bit, and the
 same exhaustiveness verdict at every tolerance, on families of every shape
-the engine builds. Then the walk's record, read at several tolerances, and
-the Heisenberg events a family computes on its first walk and keeps; and what
-its first check keeps of D, read at several tolerances."""
+the engine builds. Then the walk's record, read at several tolerances: the
+Heisenberg events a family computes on its first walk, and what the record
+keeps of D."""
 
 import itertools
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -330,20 +330,17 @@ def test_a_family_propagates_each_event_time_once(monkeypatch, name):
         assert report.probabilities.tobytes() == d.diagonal().real.tobytes()
 
 
-def _record_arrays(record) -> tuple:
-    return record.kets, record.norms, record.residuals, record.parent
-
-
 def _kept_arrays(fam) -> tuple:
-    """Every array a walked and checked family keeps."""
-    return (*_record_arrays(fam._walked), fam._decoherence.probabilities)
+    """Every array a walked family keeps."""
+    record = fam._walked
+    return record.kets, record.norms, record.residuals, record.parent, record.probabilities
 
 
 def test_families_made_from_a_walked_family_share_none_of_its_record():
     fam = _compiled_families()["collapse-4"]
     _assert_walks_like_the_oracle(fam)
-    record, kept = fam._walked, fam._decoherence
-    assert record is not None and kept is not None
+    record = fam._walked
+    assert record is not None
     field = Segment(0.0, 4.0, 0.7 * spin_operator(Direction(2.0, 1.0)))
     derived = [
         replace(fam, schedule=Schedule(2, (field,))),
@@ -353,21 +350,21 @@ def test_families_made_from_a_walked_family_share_none_of_its_record():
         refine(fam, replace_events_with_identity(fam, 4)),
     ]
     # refine checks its output
-    assert all(other._walked is other._decoherence is None for other in derived[:-1])
+    assert all(other._walked is None for other in derived[:-1])
     for other in derived:
         _assert_walks_like_the_oracle(other)
         assert not any(np.shares_memory(a, b) for a in _kept_arrays(other)
                        for b in _kept_arrays(fam))
-    assert fam._walked is record and fam._decoherence is kept
+    assert fam._walked is record
 
 
 def test_the_kept_walk_record_is_read_only():
     fam = _compiled_families()["collapse-4"]
     record = _walk(fam)
     assert fam._walked is record and _walk(fam) is record
-    check_consistency(fam)
-    kept = fam._decoherence
-    assert check_consistency(fam, 0.3).probabilities is kept.probabilities
+    assert check_consistency(fam, 0.3).probabilities is record.probabilities
+    # the walk is the family's one lazily filled field
+    assert [f.name for f in fields(fam) if f.default is None] == ["_walked"]
     for a in _kept_arrays(fam):
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -375,11 +372,9 @@ def test_the_kept_walk_record_is_read_only():
     with pytest.raises(AttributeError):
         fam._walked = None
     with pytest.raises(AttributeError):
-        fam._decoherence = None
-    with pytest.raises(AttributeError):
         record.kets = record.kets.copy()
     with pytest.raises(AttributeError):
-        kept.max_offdiag = 0.0
+        record.max_offdiag = 0.0
 
 
 def test_chain_kets_returns_the_kept_read_only_k():
@@ -432,7 +427,7 @@ def test_a_re_read_family_still_walks_like_the_oracle():
 
 
 def _pair_searches(monkeypatch) -> list:
-    """The tol of each pair search from now on: one per D formed."""
+    """The tol of each pair search from now on, each of which forms D again."""
     calls = []
 
     def counted(*args):
@@ -449,25 +444,27 @@ def test_only_a_consistent_family_s_first_check_forms_d(monkeypatch, first):
     fam = _compiled_families()["collapse-4"]
     calls = _pair_searches(monkeypatch)
     READS[first](fam, 1e-9)
+    record = fam._walked
     for tol in (1e-9, 1e-3):
         READS["history_probability"](fam, tol)
         assert READS["query"](fam, tol).meaningful
-    assert calls == [1e-9]
-    assert 0.0 <= fam._decoherence.max_offdiag <= 1e-9
+    # D was formed once, by the first read's walk, and no check searched it
+    assert calls == [] and fam._walked is record
+    assert 0.0 <= record.max_offdiag <= 1e-9
 
 
 def test_a_re_check_below_the_largest_entry_lists_its_pairs(monkeypatch):
     fam = build_scenario(builtin_scenario("eq23")).families[0][1]
     assert check_consistency(fam, 0.3).consistent  # |D(1, 3)| = |D(2, 4)| = 0.25
-    assert fam._decoherence.max_offdiag == 0.25
+    assert fam._walked.max_offdiag == 0.25
     calls = _pair_searches(monkeypatch)
     for tol in (0.25, 0.2499, 1e-9):
         report = check_consistency(fam, tol)
         want = check_consistency(build_scenario(builtin_scenario("eq23")).families[0][1], tol)
         _assert_same_report(report, want)
         assert report.consistent is (tol == 0.25)
-    # the fresh families search at every tol, the kept one only below 0.25
-    assert calls == [0.25, 0.2499, 0.2499, 1e-9, 1e-9]
+    # the kept family and the fresh ones alike search only below 0.25
+    assert calls == [0.2499, 0.2499, 1e-9, 1e-9]
     kets = chain_kets(fam)
     pairs = check_consistency(fam, 1e-9).violating_pairs
     assert [(i, j) for i, j, _ in pairs] == [(1, 3), (2, 4)]
@@ -530,7 +527,7 @@ def test_a_kept_family_checks_like_a_fresh_one_at_every_tol(case):
         object.__setattr__(fam, "_walked", replace(_walk(fam), kets=kets))
         return fam
 
-    kept = family()
     with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 in D
+        kept = family()
         for tol in tols:
             _assert_same_report(check_consistency(kept, tol), check_consistency(family(), tol))
