@@ -29,8 +29,9 @@ it in the same order: at each event time it conjugates that time's distinct
 events back to t0 at once, then forms every ket of the level in one batched
 product of each node's Heisenberg event with its parent's ket. The last
 level's kets are the N chain kets, the rows of K. For each inner node with
-ket |chi> the walk also keeps ||chi|| and the residual
-||sum_c P^_c chi - chi|| over its children. All overlaps then follow as one
+ket |chi> the walk also finds ||chi|| and the residual
+||sum_c P^_c chi - chi|| over its children, and keeps of them one number,
+``max_residual`` (see :func:`_max_residual`). All overlaps then follow as one
 matrix, the decoherence functional D = K^dag K with D[a, b] =
 <alpha_a|alpha_b> (Gell-Mann & Hartle, Phys. Rev. D 47, 3345 (1993)): its
 real diagonal holds the probabilities, and the family is orthogonal when no
@@ -40,10 +41,10 @@ the probabilities, their sum and the largest |D(i, j)| over i < j. That
 record depends only on the family, so the family keeps it from its first
 read (``Family._walked``): every later check, at any ``tol``, and every read
 calls no propagator and forms no ket. :func:`check_consistency` reads its
-verdict off the record for the ``tol`` it is given: a node whose norm, or an
-ancestor's, is at most ``tol`` is dead and not tested for exhaustiveness,
-and D is formed again, to list the pairs, only when the largest entry is
-not within ``tol``; so a read of a consistent family forms no D.
+verdict off the record as two float comparisons with the ``tol`` it is
+given: the family is exhaustive when ``max_residual`` is within ``tol``, and
+D is formed again, to list the pairs, only when the largest entry is not;
+so a read of a consistent family forms no D.
 :func:`chain_kets` returns K; the verdict keeps its pairs as an
 :class:`OverlapPairs`, which the report writes as is.
 
@@ -64,6 +65,7 @@ from .linalg import (
     EPS_NORM,
     EPS_OP,
     Projector,
+    _norm,
     as_state,
     identity_projector,
     max_abs,
@@ -146,7 +148,7 @@ class Family:
 
     def __post_init__(self):
         state = _initial_state(self.initial_state).copy()
-        if not abs(np.linalg.norm(state) - 1.0) <= EPS_NORM:
+        if not abs(_norm(state) - 1.0) <= EPS_NORM:
             raise ValueError("initial state must be normalized")
         state.setflags(write=False)
         object.__setattr__(self, "initial_state", state)
@@ -301,22 +303,30 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(v.conj()[:, None, :], v[:, :, None])[:, 0, 0].real)
 
 
+def _max_residual(norms: np.ndarray, residuals: np.ndarray, parent: np.ndarray,
+                  starts: tuple[int, ...]) -> float:
+    """Exhaustiveness of the inner nodes (tree and ids as in ``Family._tree``)
+    as one number, exhaustive at ``tol`` exactly when it is <= tol: a node's
+    residual counts only up to its reach, the smallest norm on its path from
+    the root, as at any tol >= reach it is dead and not tested. fmin skips
+    NaN, so a NaN norm is never dead; max keeps NaN where both are NaN."""
+    reach = norms.copy()
+    for lo, hi in zip(starts[1:-2], starts[2:-1]):  # t1..t_{n-1}, in order
+        reach[lo:hi] = np.fmin(reach[lo:hi], reach[parent[lo - 1:hi - 1]])
+    return float(np.fmin(residuals, reach).max())
+
+
 @dataclass(frozen=True, eq=False)
 class _Walk:
     """What one walk of the event-prefix tree finds, before any ``tol`` is
-    applied: K, and for each inner node (ids as in ``Family._tree``) the norm
-    of its ket chi and its exhaustiveness residual ||sum_c P^_c chi - chi||;
-    ``parent`` and ``starts`` are the family's tree. Made from K, it forms
-    D = K^dag K once and keeps what D says: the probabilities, D's real
-    diagonal, their sum, and ``max_offdiag``, the largest |D(i, j)| over
-    i < j, which is NaN if any such entry is NaN and 0.0 for a single
-    history. Every array is read-only."""
+    applied: K, and ``max_residual`` (see :func:`_max_residual`). Made from
+    them, it forms D = K^dag K once and keeps what D says: the
+    probabilities, D's real diagonal, their sum, and ``max_offdiag``, the
+    largest |D(i, j)| over i < j, which is NaN if any such entry is NaN and
+    0.0 for a single history. Every array is read-only."""
 
     kets: np.ndarray
-    norms: np.ndarray
-    residuals: np.ndarray
-    parent: np.ndarray
-    starts: tuple[int, ...]
+    max_residual: float
     probabilities: np.ndarray = field(init=False)
     probability_sum: float = field(init=False)
     max_offdiag: float = field(init=False)
@@ -330,26 +340,14 @@ class _Walk:
         object.__setattr__(self, "probability_sum", float(sum(probabilities.tolist())))
         object.__setattr__(self, "max_offdiag", float(largest))
 
-    def exhaustive(self, tol: float) -> bool:
-        """Whether every live inner node passes the exhaustiveness test. A
-        node is dead when its norm, or an ancestor's, is <= tol: it carries
-        no probability, so it is not tested. NaN fails both tests."""
-        passed = self.residuals <= tol
-        if passed.all():
-            return True
-        dead = self.norms <= tol
-        for lo, hi in zip(self.starts[1:-2], self.starts[2:-1]):  # t1..t_{n-1}, in order
-            dead[lo:hi] |= dead[self.parent[lo - 1:hi - 1]]
-        return bool(passed[~dead].all())
-
 
 def _walk(f: Family) -> _Walk:
     """The family's walk of its event-prefix tree, one event time at a time:
     conjugate that time's events back to t0 (one propagator), then form the
     level's kets, their parents' kets times their events' Heisenberg
-    projectors, in one batched product; then form D once. The first call
-    walks and keeps the read-only record on the family; a walk that raises
-    keeps nothing."""
+    projectors, in one batched product; then reduce the inner nodes to
+    ``max_residual`` and form D once. The first call walks and keeps the
+    read-only record on the family; a walk that raises keeps nothing."""
     if f._walked is None:
         parent, code, starts = f._tree
         kets = np.empty((starts[-1], f.dim), dtype=complex)
@@ -365,8 +363,8 @@ def _walk(f: Family) -> _Walk:
         chi = kets[:inner]
         total = np.zeros_like(chi)
         np.add.at(total, parent, kets[1:])  # each node's children, in order, as sum() adds them
-        norms, residuals = _read_only(_norms(chi)), _read_only(_norms(total - chi))
-        record = _Walk(_read_only(kets)[inner:], norms, residuals, parent, starts)
+        max_residual = _max_residual(_norms(chi), _norms(total - chi), parent, starts)
+        record = _Walk(_read_only(kets)[inner:], max_residual)
         object.__setattr__(f, "_walked", record)
     return f._walked
 
@@ -393,17 +391,18 @@ def check_consistency(f: Family, tol: float = EPS_CONS) -> ConsistencyReport:
     Returns a verdict for every family: inconsistent families are legal
     values, they just cannot be assigned probabilities. The verdict lists
     the pairs i < j with |D(i, j)| above ``tol`` (or NaN). It is read off
-    the family's record (see :func:`_walk`), at any ``tol``; D is formed
-    again, to list the pairs, only when the record's largest |D(i, j)| over
-    i < j is not within ``tol``, so a read of a consistent family forms no
-    D. It raises ValueError when ``tol`` is not finite and positive, or when
-    the dynamics turn a state by a phase too large to represent (see
-    :func:`unitary_exp`).
+    the family's record (see :func:`_walk`), at any ``tol``, as two float
+    comparisons: the family is exhaustive when the record's ``max_residual``
+    is within ``tol``, and D is formed again, to list the pairs, only when
+    its largest |D(i, j)| over i < j is not, so a read of a consistent
+    family forms no D. It raises ValueError when ``tol`` is not finite and
+    positive, or when the dynamics turn a state by a phase too large to
+    represent (see :func:`unitary_exp`).
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     record = _walk(f)
-    exhaustive = record.exhaustive(tol)
+    exhaustive = record.max_residual <= tol
     if record.max_offdiag <= tol:
         violating = _NO_PAIRS
     else:

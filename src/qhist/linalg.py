@@ -71,11 +71,16 @@ def inner(u, v) -> complex:
     return complex(np.vdot(u, v))
 
 
+def _norm(v: np.ndarray) -> float:
+    """||v||; inf, without a warning, when its square overflows."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(v)
+
+
 def normalized(v) -> np.ndarray:
     """Return v / ||v||; rejects (near-)zero vectors."""
     v = as_state(v)
-    with np.errstate(over="ignore"):
-        n = np.linalg.norm(v)
+    n = _norm(v)
     if n == np.inf:  # the squared norm overflowed: scale v down first
         v = v / max(np.abs(v.real).max(), np.abs(v.imag).max())
         n = np.linalg.norm(v)

@@ -59,8 +59,8 @@ import numpy as np
 
 from .dynamics import Schedule, Segment, TimeGrid, evolved_state
 from .histories import Event, Family, History
-from .linalg import (EPS_INPUT_NORM, Projector, as_projector, identity, normalized,
-                     projector_onto, tensor)
+from .linalg import (EPS_INPUT_NORM, Projector, _norm, as_projector, identity,
+                     normalized, projector_onto, tensor)
 from .spin import NAMED_DIRECTIONS, Direction, basis_for, singlet, spin_operator
 
 SUBSYSTEMS = ("A", "B")
@@ -268,7 +268,7 @@ def _parse_event_factor(part: str, tok: str, spins: int, line: int | None,
         return EventFactor(kind="identity", time_index=0)
     if part.startswith("psi"):
         digits = part[3:]
-        if not digits.isdigit():
+        if not digits.isdecimal():
             raise ParseError(f"bad evolved-state token {part!r}", line, column,
                              expected=("psi<k>",))
         return EventFactor(kind="psi", time_index=int(digits))
@@ -284,7 +284,7 @@ def _parse_event_factor(part: str, tok: str, spins: int, line: int | None,
         raise ValidationError(
             f"token {tok!r}: two-spin events must tag a subsystem A or B",
             line, column)
-    if not rest or not rest[:-1].isdigit():
+    if not rest or not rest[:-1].isdecimal():
         raise ParseError(f"token {part!r} needs a time index and a sign",
                          line, column, expected=("<dir><k><sign>",))
     sign = _parse_sign(rest[-1], part, line, column)
@@ -483,7 +483,7 @@ def _parse_state_section(section, spins: int, dim: int) -> StateSpec:
                 raise ValidationError(f"amplitude {tok!r} is not finite", ln, base + col - 1)
             amps.append(amp)
         vec = np.array(amps, dtype=complex)
-        nrm = np.linalg.norm(vec)
+        nrm = _norm(vec)
         if abs(nrm - 1.0) > EPS_INPUT_NORM:
             raise ValidationError(
                 f"explicit state is not normalized (norm {nrm:.6g})", ln)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import EPS_NORM, Projector, as_state, inner, projector_onto, tensor
+from .linalg import EPS_NORM, Projector, _norm, as_state, inner, projector_onto, tensor
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def born_probability(state, w: Direction, sign: int) -> float:
     state = as_state(state)
     if state.shape[0] != 2:
         raise ValueError("born_probability applies to a single spin (dim 2)")
-    if abs(np.linalg.norm(state) - 1.0) > EPS_NORM:
+    if abs(_norm(state) - 1.0) > EPS_NORM:
         raise ValueError("state must be normalized")
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")

@@ -127,6 +127,21 @@ def per_node_walk(f, tol: float) -> tuple[np.ndarray, bool]:
     return kets, exhaustive
 
 
+def dead_node_rule(norms, residuals, parent, tol: float) -> bool:
+    """Exhaustiveness from per-node arrays, one node at a time: node i (0 is
+    the root, and ``parent[i - 1]`` is node i's parent) is dead when its
+    norm, or an ancestor's, is <= tol, and every live node's residual must
+    be <= tol. NaN is neither dead nor passing."""
+    for node, residual in enumerate(residuals):
+        path = [node]
+        while path[-1]:
+            path.append(parent[path[-1] - 1])
+        dead = any(norms[a] <= tol for a in path)
+        if not (dead or residual <= tol):
+            return False
+    return True
+
+
 def violating_pairs(overlaps: np.ndarray, tol: float):
     """The (i, j, overlap) columns, 1-based, of every pair i < j whose
     |D(i, j)| is not within tol (NaN is not), row by row: one search over

@@ -30,8 +30,10 @@ def qhist(capsys):
 
 
 def qhist_process(*args: str) -> subprocess.CompletedProcess:
-    """Run ``python -m qhist *args`` as a cold process."""
-    return subprocess.run([sys.executable, "-m", "qhist", *args], capture_output=True, text=True)
+    """Run ``python -m qhist *args`` as a cold process, in which a
+    RuntimeWarning is an error, as it is in this one."""
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "qhist", *args],
+                          capture_output=True, text=True)
 
 
 def write_scenario(tmp_path: Path, name: str) -> Path:
@@ -255,6 +257,9 @@ def test_query_meaningful_in_x_framework(tmp_path, qhist):
 @pytest.mark.parametrize("token, message", [
     ("z1+*z1+", "token 'z1+*z1+' uses one subsystem twice"),
     ("w(1,2,3)1+", "direction needs 'w(theta,phi)' with two angles"),
+    # str.isdigit accepts a superscript digit, which int rejects
+    ("x\u00b2+", "token 'x\u00b2+' needs a time index and a sign"
+                 " (expected one of: <dir><k><sign>)"),
 ])
 def test_query_token_error_names_no_line(tmp_path, token, message, qhist):
     # the token comes from the command line, which has no line to point at

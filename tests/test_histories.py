@@ -466,6 +466,12 @@ def test_family_validation_errors():
         family_from_event_table(np.array([1.0, 1.0]), GRID2, FREE2, [[("z1+", ZP_PROJ)]])
     with pytest.raises(ValueError, match="normalized"):
         family_from_event_table(np.array([math.nan, 0.0]), GRID2, FREE2, [[("z1+", ZP_PROJ)]])
+    # a squared norm that overflows reads as inf, with no RuntimeWarning
+    big = np.array([1e200, 0.0])
+    with pytest.raises(ValueError, match="^initial state must be normalized$"):
+        Family(big, GRID2, FREE2, ())
+    with pytest.raises(ValueError, match="^initial state must be normalized$"):
+        unitary_family(big, GRID2, FREE2)
     with pytest.raises(ValueError, match="events"):
         family_from_event_table(oracles.ZP, GRID3, FREE2, [[("z1+", ZP_PROJ)]])
     with pytest.raises(ValueError, match="duplicate"):

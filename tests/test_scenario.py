@@ -196,10 +196,12 @@ history = z2+   x1+
 
 # history-line tokens valid at position 1 and at 2, one of them with
 # whitespace inside its direction; then unknown and misplaced tokens, a stray
-# ')', and the pieces of a direction cut at its whitespace
+# ')', the pieces of a direction cut at its whitespace, and time indices in
+# superscript digits, which str.isdigit accepts and int rejects
 _AT_1 = ("x1+", "z1-", "w(0.5,1.25)1+", "w( 0.5 ,\u00a01.25 )1-", "1")
 _AT_2 = ("z2+", "x2-", "w(0.5,1.25)2+", "1", "psi2")
-_PIECES = ("q1+", "z2+", "x1", "x1+)", ")", "w(0.5,", "1.25)2+", "w(0.5", "(", "w( 0.5 , 1.25")
+_PIECES = ("q1+", "z2+", "x1", "x1+)", ")", "w(0.5,", "1.25)2+", "w(0.5", "(", "w( 0.5 , 1.25",
+           "x\u00b2+", "psi\u00b9", "w(0.5,1.25)1\u00b2-")
 _LINE_SPACES = (" ", "  ", "\t", "\u00a0", "\u2003", "\u3000")
 
 
@@ -482,6 +484,10 @@ def test_unknown_direction_reports_expected_tokens():
 def test_non_normalized_amplitudes_rejected():
     text = MINIMAL.replace("named = z+", "amplitudes = 1.0+0.0j 1.0+0.0j")
     with pytest.raises(ValidationError, match="not normalized"):
+        parse_scenario(text)
+    # a squared norm that overflows reads as inf, with no RuntimeWarning
+    text = MINIMAL.replace("named = z+", "amplitudes = 1e200+0j 0+0j")
+    with pytest.raises(ValidationError, match=r"not normalized \(norm inf\)"):
         parse_scenario(text)
 
 

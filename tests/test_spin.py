@@ -152,6 +152,8 @@ def test_born_rule_rejects_bad_input():
         born_probability(np.array([1, 0, 0, 0]), Z, +1)
     with pytest.raises(ValueError, match="normalized"):
         born_probability(np.array([1.0, 1.0]), Z, +1)
+    with pytest.raises(ValueError, match="^state must be normalized$"):
+        born_probability([1e200, 0.0], Z, +1)  # the squared norm overflows, with no warning
     with pytest.raises(ValueError, match="sign"):
         born_probability(oracles.ZP, Z, 0)
     with pytest.raises(ValueError, match="sign must be"):

@@ -2,8 +2,8 @@
 replaced (``oracles.per_node_walk``): the same chain kets bit for bit, and the
 same exhaustiveness verdict at every tolerance, on families of every shape
 the engine builds. Then the walk's record, read at several tolerances: the
-Heisenberg events a family computes on its first walk, and what the record
-keeps of D."""
+Heisenberg events a family computes on its first walk, the one number it
+keeps for exhaustiveness, ``max_residual``, and what it keeps of D."""
 
 import itertools
 import math
@@ -172,8 +172,23 @@ def _assert_walks_like_the_oracle(fam):
         want_kets, want_exhaustive = oracles.per_node_walk(fam, tol)
         assert kets.dtype == want_kets.dtype and kets.shape == want_kets.shape
         assert kets.tobytes() == want_kets.tobytes()
-        assert record.exhaustive(tol) is want_exhaustive, tol
+        assert (record.max_residual <= tol) is want_exhaustive, tol
         assert check_consistency(fam, tol).exhaustive is want_exhaustive, tol
+
+
+def _reduction_inputs(fam) -> tuple:
+    """(norms, residuals, parent, starts): what the walk of a fresh copy of
+    ``fam`` reduces to its ``max_residual``, namely the inner nodes' norms
+    and residuals, and that copy's own tree."""
+    seen, fresh = [], replace(fam)
+    reduce = histories._max_residual
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(histories, "_max_residual", lambda *args: seen.append(args) or reduce(*args))
+        _walk(fresh)
+    (inputs,) = seen
+    parent, _, starts = fresh._tree
+    assert inputs[2] is parent and inputs[3] is starts
+    return inputs
 
 
 def test_the_walk_families_reach_every_verdict():
@@ -184,13 +199,43 @@ def test_the_walk_families_reach_every_verdict():
                             "consistent", "inconsistent"), 0)
     for _, fam in FAMILIES:
         record = _walk(fam)
+        residuals = _reduction_inputs(fam)[1]
         for tol in TOLS:
-            exhaustive = record.exhaustive(tol)
+            exhaustive = record.max_residual <= tol
             counts["exhaustive" if exhaustive else "not exhaustive"] += 1
-            counts["saved by dead nodes"] += exhaustive and not (record.residuals <= tol).all()
+            counts["saved by dead nodes"] += exhaustive and not (residuals <= tol).all()
             consistent = check_consistency(fam, tol).consistent
             counts["consistent" if consistent else "inconsistent"] += 1
     assert all(counts.values()), counts
+
+
+def test_max_residual_is_the_exhaustiveness_threshold():
+    # the per-node walk is exhaustive at max_residual and not at the float
+    # below it: no other number would give the same verdict at every tol
+    thresholds = 0
+    for name, fam in FAMILIES:
+        largest = _walk(fam).max_residual
+        assert oracles.per_node_walk(fam, largest)[1], name
+        if largest > 0:
+            thresholds += 1
+            assert not oracles.per_node_walk(fam, np.nextafter(largest, 0))[1], name
+    assert thresholds
+
+
+# per-node norms and residuals to draw: zero, round-off, the scale of
+# _record_family's late node, order one, and non-finite
+_NODE_VALUES = (0.0, 1e-12, 1e-9, 1e-4, 2e-4, 0.3, 1.0, math.nan, math.inf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["z-ladder-5", "scattered-4-12", "refine-singlet"]), st.data())
+def test_max_residual_gives_the_dead_node_verdict_at_every_tol(name, data):
+    _, _, parent, starts = _reduction_inputs(dict(FAMILIES)[name])
+    draw = st.lists(st.sampled_from(_NODE_VALUES), min_size=starts[-2], max_size=starts[-2])
+    norms, residuals = np.array(data.draw(draw)), np.array(data.draw(draw))
+    largest = histories._max_residual(norms, residuals, parent, starts)
+    for tol in TOLS + (1e-4, 2e-4, 1.0, 2.0):
+        assert (largest <= tol) is oracles.dead_node_rule(norms, residuals, parent, tol), tol
 
 
 def test_the_tree_numbers_nodes_level_by_level_in_first_appearance():
@@ -224,17 +269,19 @@ def _record_family():
 
 def test_one_record_answers_every_tolerance():
     fam = _record_family()
-    record = _walk(fam)
-    parent, _, starts = fam._tree
-    assert record.parent is parent and record.starts == starts
-    assert record.norms.shape == record.residuals.shape == (starts[-2],)
+    norms, residuals, parent, starts = _reduction_inputs(fam)
+    assert norms.shape == residuals.shape == (starts[-2],)
     # the node z1- z2- is the last inner node; its residual sits at t2, after
     # the levels above it have passed
     late = starts[-2] - 1
-    assert record.norms[late] == pytest.approx(1e-4, rel=1e-12)
-    assert record.residuals[late] == pytest.approx(2e-4, rel=1e-12)
-    others = np.delete(record.residuals, late)
+    assert norms[late] == pytest.approx(1e-4, rel=1e-12)
+    assert residuals[late] == pytest.approx(2e-4, rel=1e-12)
+    others = np.delete(residuals, late)
     assert (others <= 1e-15).all()
+    # the late residual counts up to the node's norm, where it dies
+    record = _walk(fam)
+    assert record.max_residual == norms[late]
+    assert record.max_residual == pytest.approx(1e-4, rel=1e-12)
     verdicts = {
         1e-12: False,   # the node is live and its residual fails
         5e-5: False,    # still live, still failing
@@ -242,36 +289,46 @@ def test_one_record_answers_every_tolerance():
         3e-4: True,     # the node is live, and its residual passes
     }
     for tol, exhaustive in verdicts.items():
-        assert record.exhaustive(tol) is exhaustive, tol
+        assert (record.max_residual <= tol) is exhaustive, tol
         assert oracles.per_node_walk(fam, tol)[1] is exhaustive, tol
         assert check_consistency(fam, tol).exhaustive is exhaustive, tol
 
 
 def test_a_dead_ancestor_kills_its_subtree():
-    fam = _record_family()
-    record = _walk(fam)
-    late = record.starts[-2] - 1
-    z1_minus = record.parent[late - 1]  # the parent of z1- z2-
-    assert record.norms[z1_minus] == pytest.approx(1e-4, rel=1e-12)
+    norms, residuals, parent, starts = _reduction_inputs(_record_family())
+    late = starts[-2] - 1
+    z1_minus = parent[late - 1]  # the parent of z1- z2-
+    assert norms[z1_minus] == pytest.approx(1e-4, rel=1e-12)
     # give the failing node a norm of its own above tol: its ancestor z1- is
     # still dead at 1.5e-4, so the node is not tested
-    norms = record.norms.copy()
+    norms = norms.copy()
     norms[late] = 1.0
-    assert replace(record, norms=norms).exhaustive(1.5e-4)
+    assert histories._max_residual(norms, residuals, parent, starts) <= 1.5e-4
     norms[z1_minus] = 1.0
-    assert not replace(record, norms=norms).exhaustive(1.5e-4)
+    largest = histories._max_residual(norms, residuals, parent, starts)
+    assert largest == residuals[late] and not largest <= 1.5e-4
 
 
 def test_nan_in_the_record_fails_closed():
-    fam = _record_family()
-    record = _walk(fam)
-    residuals = record.residuals.copy()
-    residuals[0] = math.nan  # at the root, of norm 1: live at every tol here
+    norms, residuals, parent, starts = _reduction_inputs(_record_family())
+    nan_residuals = residuals.copy()
+    nan_residuals[0] = math.nan  # at the root, of norm 1: live at every tol below 1
+    largest = histories._max_residual(norms, nan_residuals, parent, starts)
+    assert largest == norms[0]
     for tol in TOLS:
-        assert not replace(record, residuals=residuals).exhaustive(tol)
-    norms = record.norms.copy()
-    norms[:] = math.nan  # a NaN norm is not dead, so the late residual is tested
-    assert not replace(record, norms=norms).exhaustive(1.5e-4)
+        assert not largest <= tol
+    # with the root's norm NaN too, no dead node saves it at any tol
+    nan_norms = norms.copy()
+    nan_norms[0] = math.nan
+    assert math.isnan(histories._max_residual(nan_norms, nan_residuals, parent, starts))
+    # a NaN norm is not dead, so the late residual is tested
+    largest = histories._max_residual(np.full_like(norms, math.nan), residuals, parent, starts)
+    assert largest == residuals[starts[-2] - 1] and not largest <= 1.5e-4
+    # nor does it revive a node whose own norm, or a lower ancestor's, is dead
+    nan_norms = norms.copy()
+    nan_norms[0] = math.nan
+    largest = histories._max_residual(nan_norms, residuals, parent, starts)
+    assert largest == histories._max_residual(norms, residuals, parent, starts) <= 1.5e-4
 
 
 def test_every_residual_is_computed_past_a_failure():
@@ -280,10 +337,10 @@ def test_every_residual_is_computed_past_a_failure():
     # drop z1+'s z2+ branch: the first failure is at depth 1, before the late one
     cut = family_from_event_table(fam.initial_state, fam.grid, fam.schedule,
                                   [r for r in rows if [e for e, _ in r[:2]] != ["z1+", "z2+"]])
-    record = _walk(cut)
-    assert np.isfinite(record.residuals).all()
-    assert (record.residuals > 1e-3).sum() == 1 and (record.residuals > 1e-5).sum() == 2
-    assert not record.exhaustive(1.5e-4)
+    residuals = _reduction_inputs(cut)[1]
+    assert np.isfinite(residuals).all()
+    assert (residuals > 1e-3).sum() == 1 and (residuals > 1e-5).sum() == 2
+    assert not _walk(cut).max_residual <= 1.5e-4
 
 
 def _compiled_families() -> dict:
@@ -333,7 +390,7 @@ def test_a_family_propagates_each_event_time_once(monkeypatch, name):
 def _kept_arrays(fam) -> tuple:
     """Every array a walked family keeps."""
     record = fam._walked
-    return record.kets, record.norms, record.residuals, record.parent, record.probabilities
+    return record.kets, record.probabilities
 
 
 def test_families_made_from_a_walked_family_share_none_of_its_record():
@@ -363,8 +420,11 @@ def test_the_kept_walk_record_is_read_only():
     record = _walk(fam)
     assert fam._walked is record and _walk(fam) is record
     assert check_consistency(fam, 0.3).probabilities is record.probabilities
-    # the walk is the family's one lazily filled field
+    # the walk is the family's one lazily filled field, and it keeps no
+    # per-node array but K and the probabilities
     assert [f.name for f in fields(fam) if f.default is None] == ["_walked"]
+    assert [f.name for f in fields(record)] == [
+        "kets", "max_residual", "probabilities", "probability_sum", "max_offdiag"]
     for a in _kept_arrays(fam):
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -375,6 +435,8 @@ def test_the_kept_walk_record_is_read_only():
         record.kets = record.kets.copy()
     with pytest.raises(AttributeError):
         record.max_offdiag = 0.0
+    with pytest.raises(AttributeError):
+        record.max_residual = 0.0
 
 
 def test_chain_kets_returns_the_kept_read_only_k():
