@@ -22,6 +22,7 @@ from .histories import (
     Family,
     History,
     QueryOnInconsistentFamily,
+    _verdict,
     check_consistency,
 )
 from .linalg import EPS_CONS, EPS_OP, EPS_STATE, _commute, as_projector, commutes, max_abs
@@ -60,10 +61,13 @@ def query(f: Family, p: Proposition, tol: float = EPS_CONS) -> QueryResult:
     The proposition belongs to the family's sample space at its time iff its
     projector commutes with every event there and absorbs each event either
     fully or not at all; the probability is then the total weight of the
-    histories whose event it absorbs.
+    histories whose event it absorbs. The family's verdict is that of
+    ``check_consistency``, read off its record by ``histories._verdict``, so
+    a query makes no report and forms no D; it raises
+    :class:`QueryOnInconsistentFamily` when the family is not consistent.
     """
-    report = check_consistency(f, tol)
-    if not report.consistent:
+    record, consistent = _verdict(f, tol)
+    if not consistent:
         raise QueryOnInconsistentFamily(
             "queries against an inconsistent family are meaningless"
         )
@@ -71,34 +75,39 @@ def query(f: Family, p: Proposition, tol: float = EPS_CONS) -> QueryResult:
         raise ValueError(f"proposition time index {p.time_index} outside the grid")
     if p.projector.dim != f.dim:
         raise ValueError("proposition dimension does not match the family")
+    return _answer(f, p, record.probabilities)
 
-    # both matrices are a Projector's, already square, finite and of the
-    # family's dim; one product P E serves the commutation test and the
-    # absorb/split tests
+
+@np.errstate(over="ignore", invalid="ignore")
+def _answer(f: Family, p: Proposition, probabilities: np.ndarray) -> QueryResult:
+    """query's answer for a consistent family with these probabilities, and
+    a proposition at one of its times and of its dim. Both matrices are a
+    Projector's, already square and finite; one product P E serves the
+    commutation test and the absorb/split tests, and one that overflows
+    gives inf or NaN, which fails them."""
     mat = p.projector.matrix
     absorbed: set[str] = set()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for label, event in f._branches[p.time_index - 1].items():
-            event_mat = event.matrix
-            prod = mat @ event_mat
-            if not _commute(mat, event_mat, prod):
-                return QueryResult(
-                    None,
-                    f"projector {p.projector.label!r} does not commute with event "
-                    f"{label!r} at time {p.time_index}",
-                )
-            if max_abs(prod - event_mat) <= EPS_OP:
-                absorbed.add(label)
-            elif max_abs(prod) > EPS_OP:
-                return QueryResult(
-                    None,
-                    f"projector {p.projector.label!r} splits event {label!r} at time "
-                    f"{p.time_index}; it is not a union of the family's alternatives",
-                )
+    for label, event in f._branches[p.time_index - 1].items():
+        event_mat = event.matrix
+        prod = mat.dot(event_mat)
+        if not _commute(mat, event_mat, prod):
+            return QueryResult(
+                None,
+                f"projector {p.projector.label!r} does not commute with event "
+                f"{label!r} at time {p.time_index}",
+            )
+        if max_abs(prod - event_mat) <= EPS_OP:
+            absorbed.add(label)
+        elif max_abs(prod) > EPS_OP:
+            return QueryResult(
+                None,
+                f"projector {p.projector.label!r} splits event {label!r} at time "
+                f"{p.time_index}; it is not a union of the family's alternatives",
+            )
 
     total = sum(
         prob
-        for h, prob in zip(f.histories, report.probabilities.tolist())
+        for h, prob in zip(f.histories, probabilities.tolist())
         if h.events[p.time_index - 1].label in absorbed
     )
     return QueryResult(float(total))

@@ -40,11 +40,15 @@ entry above the diagonal exceeds ``tol`` (Griffiths, J. Stat. Phys. 36, 219
 the probabilities, their sum and the largest |D(i, j)| over i < j. That
 record depends only on the family, so the family keeps it from its first
 read (``Family._walked``): every later check, at any ``tol``, and every read
-calls no propagator and forms no ket. :func:`check_consistency` reads its
-verdict off the record as two float comparisons with the ``tol`` it is
-given: the family is exhaustive when ``max_residual`` is within ``tol``, and
-D is formed again, to list the pairs, only when the largest entry is not;
-so a read of a consistent family forms no D.
+calls no propagator and forms no ket. One rule, :func:`_verdict`, reads
+"consistent at ``tol``" off the record as three float comparisons: the
+family is exhaustive when ``max_residual`` is within ``tol``, orthogonal
+when the largest entry is, and its weights sum to 1 within
+``max(tol, EPS_CONS)``. :func:`check_consistency`,
+:func:`history_probability` and ``frameworks.query`` all take their verdict
+from it. Only :func:`check_consistency` forms D again, to list the pairs,
+and only when the largest entry is not within ``tol``; so a read of a
+consistent family, and every Born weight or query, forms no D.
 :func:`chain_kets` returns K; the verdict keeps its pairs as an
 :class:`OverlapPairs`, which the report writes as is.
 
@@ -364,7 +368,7 @@ def _walk(f: Family) -> _Walk:
         total = np.zeros_like(chi)
         np.add.at(total, parent, kets[1:])  # each node's children, in order, as sum() adds them
         max_residual = _max_residual(_norms(chi), _norms(total - chi), parent, starts)
-        record = _Walk(_read_only(kets)[inner:], max_residual)
+        record = _Walk(_read_only(kets[inner:].copy()), max_residual)
         object.__setattr__(f, "_walked", record)
     return f._walked
 
@@ -385,35 +389,45 @@ def _violating_pairs(kets: np.ndarray, tol: float) -> OverlapPairs:
     return OverlapPairs(*map(_read_only, (rows + 1, cols + 1, overlaps[rows, cols])))
 
 
+def _verdict(f: Family, tol: float) -> tuple[_Walk, bool]:
+    """The family's record (see :func:`_walk`) and whether the family is
+    consistent at ``tol``: exhaustive (``max_residual`` within ``tol``),
+    orthogonal (``max_offdiag`` within ``tol``; NaN is not) and with weights
+    that sum to 1 within ``max(tol, EPS_CONS)``. For exhaustive, orthogonal
+    families the weights sum to <psi0|psi0>; the explicit conjunct keeps the
+    verdict airtight at a loose ``tol``. Raises ValueError, before any walk,
+    when ``tol`` is not finite and positive."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    record = _walk(f)
+    consistent = (record.max_residual <= tol and record.max_offdiag <= tol
+                  and abs(record.probability_sum - 1.0) <= max(tol, EPS_CONS))
+    return record, consistent
+
+
 def check_consistency(f: Family, tol: float = EPS_CONS) -> ConsistencyReport:
     """Decide whether a family is a consistent framework.
 
     Returns a verdict for every family: inconsistent families are legal
     values, they just cannot be assigned probabilities. The verdict lists
-    the pairs i < j with |D(i, j)| above ``tol`` (or NaN). It is read off
-    the family's record (see :func:`_walk`), at any ``tol``, as two float
-    comparisons: the family is exhaustive when the record's ``max_residual``
-    is within ``tol``, and D is formed again, to list the pairs, only when
-    its largest |D(i, j)| over i < j is not, so a read of a consistent
-    family forms no D. It raises ValueError when ``tol`` is not finite and
-    positive, or when the dynamics turn a state by a phase too large to
-    represent (see :func:`unitary_exp`).
+    the pairs i < j with |D(i, j)| above ``tol`` (or NaN). Its flags are
+    read off the family's record (see :func:`_walk`), at any ``tol``: the
+    family is exhaustive when the record's ``max_residual`` is within
+    ``tol``, and consistent by the one rule of :func:`_verdict`. D is formed
+    again, to list the pairs, only when the record's largest |D(i, j)| over
+    i < j is not within ``tol``, so a read of a consistent family forms no
+    D. It raises ValueError when ``tol`` is not finite and positive, or when
+    the dynamics turn a state by a phase too large to represent (see
+    :func:`unitary_exp`).
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    record = _walk(f)
-    exhaustive = record.max_residual <= tol
+    record, consistent = _verdict(f, tol)
     if record.max_offdiag <= tol:
         violating = _NO_PAIRS
     else:
         violating = _violating_pairs(record.kets, tol)
-    # for exhaustive + orthogonal families the weights sum to <psi0|psi0>;
-    # the explicit conjunct keeps the report's invariant airtight at loose tol
-    consistent = (exhaustive and not violating
-                  and abs(record.probability_sum - 1.0) <= max(tol, EPS_CONS))
     return ConsistencyReport(
         consistent=consistent,
-        exhaustive=exhaustive,
+        exhaustive=record.max_residual <= tol,
         violating_pairs=violating,
         probabilities=record.probabilities,
         probability_sum=record.probability_sum,
@@ -421,14 +435,17 @@ def check_consistency(f: Family, tol: float = EPS_CONS) -> ConsistencyReport:
 
 
 def history_probability(h: History, f: Family, tol: float = EPS_CONS) -> float:
-    """Generalized Born weight <alpha|alpha> of one history of a consistent family."""
+    """Generalized Born weight <alpha|alpha> of one history of a consistent
+    family. The verdict is :func:`check_consistency`'s, taken from
+    :func:`_verdict`, so the read makes no report and forms no D; it raises
+    :class:`QueryOnInconsistentFamily` when the family is not consistent."""
     idx = f.history_index(h)
-    report = check_consistency(f, tol)
-    if not report.consistent:
+    record, consistent = _verdict(f, tol)
+    if not consistent:
         raise QueryOnInconsistentFamily(
             "probabilities of an inconsistent family are meaningless"
         )
-    return float(report.probabilities[idx])
+    return float(record.probabilities[idx])
 
 
 def unitary_family(psi0, grid: TimeGrid, schedule: Schedule) -> Family:

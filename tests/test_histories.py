@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from ladder_golden import ladder_text
 from qhist import dynamics, histories
 from qhist.dynamics import Schedule, Segment, TimeGrid
+from qhist.frameworks import query
 from qhist.histories import (
     Event,
     Family,
@@ -28,7 +30,7 @@ from qhist.histories import (
 )
 from qhist.linalg import EPS_CONS, identity_projector, projector_onto
 from qhist.report import render_report_machine, run_scenario
-from qhist.scenario import BUILTIN_SOURCES, build_scenario, builtin_scenario
+from qhist.scenario import BUILTIN_SOURCES, build_scenario, builtin_scenario, parse_scenario
 from qhist.spin import Direction, X, Z, basis_for, singlet, spin_operator, spin_projector
 
 GRID2 = TimeGrid((0.0, 1.0))
@@ -142,11 +144,22 @@ def test_check_consistency_not_exhaustive():
 
 
 def test_check_consistency_rejects_bad_tol():
+    # and so do the reads that take its verdict, with the same error, before
+    # any walk and before a query looks at its proposition
     fam = eq23_family()
+    beyond = Event(ZP_PROJ, 3)  # outside the grid, which query says only later
+    reads = (
+        lambda tol: check_consistency(fam, tol),
+        lambda tol: history_probability(fam.histories[0], fam, tol),
+        lambda tol: query(fam, fam.histories[0].events[-1], tol),
+        lambda tol: query(fam, beyond, tol),
+    )
     for walked in (False, True):  # before the family keeps its record, and after
         for tol in (math.nan, math.inf, -1.0, 0.0):
-            with pytest.raises(ValueError, match="finite and positive"):
-                check_consistency(fam, tol)
+            for read in reads:
+                with pytest.raises(ValueError) as error:
+                    read(tol)
+                assert str(error.value) == f"tol must be finite and positive, got {tol!r}"
         assert (fam._walked is not None) is walked  # a bad tol walks nothing
         check_consistency(fam, 0.3)
 
@@ -225,6 +238,74 @@ def test_history_probability_requires_consistency():
     fam = eq23_family()
     with pytest.raises(QueryOnInconsistentFamily):
         history_probability(fam.histories[0], fam)
+
+
+_READ_TOLS = (1e-16, 1e-12, 1e-10, 1e-3, 0.3)
+
+
+def _read_families():
+    """Every built-in's families, eq23 as a table, and seeded ladders."""
+    for name in BUILTIN_SOURCES:
+        for family_name, fam in build_scenario(builtin_scenario(name)).families:
+            yield f"{name} {family_name}", fam
+    yield "eq23 table", eq23_family()
+    for seed in range(6):
+        text = ladder_text(random.Random(200 + seed), 2 + seed)
+        yield f"ladder {seed}", build_scenario(parse_scenario(text)).families[0][1]
+
+
+def test_reads_refuse_exactly_the_families_check_consistency_finds_inconsistent():
+    verdicts = set()
+    for name, fam in _read_families():
+        for tol in _READ_TOLS:
+            report = check_consistency(fam, tol)
+            verdicts.add(report.consistent)
+            event = fam.histories[0].events[-1]
+            if not report.consistent:
+                for h in fam.histories:
+                    with pytest.raises(QueryOnInconsistentFamily):
+                        history_probability(h, fam, tol)
+                with pytest.raises(QueryOnInconsistentFamily):
+                    query(fam, event, tol)
+                continue
+            weights = report.probabilities.tolist()
+            assert [history_probability(h, fam, tol) for h in fam.histories] == weights, name
+            answer = query(fam, event, tol)
+            if answer.meaningful:
+                assert answer.probability == sum(
+                    w for h, w in zip(fam.histories, weights)
+                    if h.events[-1].label == event.label), (name, tol)
+    assert verdicts == {True, False}
+
+
+def test_reads_refuse_a_family_whose_weights_do_not_sum_to_one():
+    # one history that turns a little at each of 5 times: every residual is
+    # within 0.3 and there is no pair, yet its weight is 0.9159**5 = 0.645
+    step = 2.0 * math.asin(0.29)
+    row = [(f"d{k}", spin_projector(Direction(k * step, 0.0), 1)) for k in range(1, 6)]
+    fam = family_from_event_table(oracles.ZP, TimeGrid(tuple(map(float, range(6)))), FREE2, [row])
+    report = check_consistency(fam, 0.3)
+    assert report.exhaustive and not report.violating_pairs
+    assert report.probability_sum == pytest.approx((1.0 - 0.29 ** 2) ** 5)
+    assert not report.consistent
+    with pytest.raises(QueryOnInconsistentFamily):
+        history_probability(fam.histories[0], fam, 0.3)
+    with pytest.raises(QueryOnInconsistentFamily):
+        query(fam, fam.histories[0].events[-1], 0.3)
+
+
+def test_reads_of_an_inconsistent_family_form_no_d(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a read formed D again to list the pairs")
+
+    kept = eq23_family()
+    assert check_consistency(kept, 0.3).consistent  # walked, |D(1, 3)| = 0.25
+    monkeypatch.setattr(histories, "_violating_pairs", forbidden)
+    for fam in (eq23_family(), kept):
+        with pytest.raises(QueryOnInconsistentFamily):
+            history_probability(fam.histories[0], fam)
+        with pytest.raises(QueryOnInconsistentFamily):
+            query(fam, fam.histories[0].events[-1])
 
 
 def test_history_probability_on_split_family():

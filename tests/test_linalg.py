@@ -24,6 +24,7 @@ from qhist.linalg import (
     tensor,
     unitary_exp,
 )
+from qhist.scenario import BUILTIN_SOURCES, build_scenario, builtin_scenario
 from qhist.spin import basis_for, Direction
 
 
@@ -293,6 +294,67 @@ def test_a_difference_or_commutator_that_overflows_fails_without_a_warning():
     with pytest.raises(ValueError, match="self-adjoint"):
         unitary_exp(m, 1.0)
     assert not commutes([[1e200, 0], [0, 0]], [[0, 1e200], [1e200, 0]])
+
+
+def _max_abs_by_np_max(m) -> float:
+    """The max-norm as np.max reduces it: the reference for max_abs."""
+    return float(np.max(np.abs(m))) if np.size(m) else 0.0
+
+
+def test_max_abs_is_np_max_bit_for_bit(rng):
+    cases = [[1.0, -3.5j], [[0.5, -2.0], [1j, 0.0]], [], 2.5, -7, 1 - 1j, 5e-324,
+             math.nan, np.zeros((0, 3)), np.array([-0.0])]
+    for shape in ((2, 2), (4, 4), (3,), (0,)):
+        for _ in range(10):
+            m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            cases.append(m)
+            if not m.size:
+                continue
+            for specials in ((math.nan,), (math.inf,), (-math.inf,), (math.nan, math.inf)):
+                hit = m.reshape(-1).copy()
+                for special in specials:  # into the real or the imaginary part
+                    at = rng.integers(hit.size)
+                    if rng.integers(2):
+                        hit[at] = complex(special, hit[at].imag)
+                    else:
+                        hit[at] = complex(hit[at].real, special)
+                cases.append(hit.reshape(shape))
+    for m in cases:
+        got, want = max_abs(m), _max_abs_by_np_max(m)
+        assert type(got) is float
+        if math.isnan(want):
+            assert math.isnan(got), m
+        else:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), m
+
+
+def test_dot_forms_the_matmul_product_bit_for_bit(rng):
+    # query and _commute form their products with ndarray.dot: no commutation
+    # or absorb verdict moves if it equals @ on every matrix they meet
+    matrices = []  # groups of same-time matrices
+    for name in BUILTIN_SOURCES:
+        by_time = {}
+        for _, fam in build_scenario(builtin_scenario(name)).families:
+            for h in fam.histories:
+                for ev in h.events:
+                    by_time.setdefault(ev.time_index, {})[id(ev.projector)] = ev.projector.matrix
+        matrices += [list(at_k.values()) for at_k in by_time.values()]
+    for dim in (2, 4):
+        drawn = [projector_onto(oracles.random_state(rng, dim)).matrix for _ in range(4)]
+        for rank in range(1, dim + 1):
+            for _ in range(3):
+                u = oracles.haar_unitary(rng, dim)[:, :rank]
+                drawn.append(as_projector(u @ u.conj().T).matrix)
+        matrices.append(drawn)
+    pairs = 0
+    for same_time in matrices:
+        for a in same_time:
+            for b in same_time:
+                prod = a.dot(b)
+                assert prod.dtype == complex and prod.shape == a.shape
+                assert prod.tobytes() == (a @ b).tobytes()
+                pairs += 1
+    assert pairs > 500
 
 
 def test_a_vector_whose_squared_norm_overflows_is_normalized():

@@ -448,6 +448,15 @@ def test_chain_kets_returns_the_kept_read_only_k():
     assert kets.tobytes() == oracles.per_node_walk(fam, 1e-9)[0].tobytes()
 
 
+def test_k_owns_its_rows_and_keeps_no_inner_node():
+    # a view of the walk's node array would keep every inner node's ket alive
+    for name, fam in FAMILIES:
+        kets = chain_kets(fam)
+        assert kets.base is None, name
+        assert not kets.flags.writeable, name
+        assert kets.shape == (len(fam.histories), fam.dim), name
+
+
 # every read of a family, at one tol; a history's event is a proposition
 READS = {
     "check_consistency": lambda fam, tol: check_consistency(fam, tol),
