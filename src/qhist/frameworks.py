@@ -25,7 +25,7 @@ from .histories import (
     _verdict,
     check_consistency,
 )
-from .linalg import EPS_CONS, EPS_OP, EPS_STATE, _commute, as_projector, commutes, max_abs
+from .linalg import EPS_CONS, EPS_OP, EPS_STATE, _commute, as_projector, max_abs
 
 
 class IncompatibleProperties(Exception):
@@ -119,14 +119,19 @@ def conjunction(p: Proposition, q: Proposition) -> Proposition:
         raise ValueError("conjunction needs propositions at the same time")
     if p.projector.dim != q.projector.dim:
         raise ValueError("conjunction needs propositions of the same dimension")
-    if not commutes(p.projector.matrix, q.projector.matrix):
+    # both matrices are a Projector's, as in query: one product P Q serves
+    # the commutation test and the joint projector
+    pm, qm = p.projector.matrix, q.projector.matrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = pm.dot(qm)
+        compatible = _commute(pm, qm, product)
+    if not compatible:
         raise IncompatibleProperties(
             f"{p.projector.label!r} and {q.projector.label!r} do not commute; "
             "no framework contains both"
         )
     label = _joint_label(p.projector.label, q.projector.label)
-    product = as_projector(p.projector.matrix @ q.projector.matrix, label)
-    return Event(product, p.time_index)
+    return Event(as_projector(product, label), p.time_index)
 
 
 def _joint_label(a: str, b: str) -> str:
@@ -152,31 +157,37 @@ def refine(f: Family, g: Family, tol: float = EPS_CONS) -> Family:
     if not schedules_equal(f.schedule, g.schedule):
         raise ValueError("refine needs families with the same dynamics")
 
-    # the events' matrices are certified and of one dim, as in query
+    # the events' matrices are certified and of one dim, as in query. Each
+    # same-time product is formed once, by its commutation test: per event
+    # time, (f-label, g-label) -> f's event times g's
+    tables: list[dict[tuple[str, str], np.ndarray]] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (f_events, g_events) in enumerate(zip(f._branches, g._branches), start=1):
+            table = {}
             for fl, fp in f_events.items():
                 for gl, gp in g_events.items():
-                    if not _commute(fp.matrix, gp.matrix, fp.matrix @ gp.matrix):
+                    prod = table[fl, gl] = fp.matrix @ gp.matrix
+                    if not _commute(fp.matrix, gp.matrix, prod):
                         raise IncompatibleFrameworks(
                             "non-commuting",
                             f"events {fl!r} and {gl!r} at time {k} do not commute",
                         )
+            tables.append(table)
 
     # one certified product per (time, f-label, g-label), made on first use;
     # None marks a jointly impossible pair
     products: dict[tuple[int, str, str], Event | None] = {}
     histories: dict[tuple[str, ...], History] = {}
+    times = range(1, len(tables) + 1)
     for hf in f.histories:
         for hg in g.histories:
             events = []
-            for ef, eg in zip(hf.events, hg.events):
-                key = (ef.time_index, ef.label, eg.label)
+            for k, table, fl, gl in zip(times, tables, hf.labels, hg.labels):
+                key = (k, fl, gl)
                 if key not in products:
-                    prod = ef.projector.matrix @ eg.projector.matrix
-                    label = _joint_label(ef.label, eg.label)
+                    prod = table[fl, gl]
                     products[key] = (
-                        Event(as_projector(prod, label), ef.time_index)
+                        Event(as_projector(prod, _joint_label(fl, gl)), k)
                         if max_abs(prod) > EPS_OP else None
                     )
                 if products[key] is None:

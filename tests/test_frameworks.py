@@ -217,6 +217,7 @@ def test_conjunction_disjoint_subsystems():
     joint = conjunction(pa, pb)
     expected = tensor(oracles.proj(oracles.ZP), oracles.proj(oracles.XP))
     assert np.allclose(joint.projector.matrix, expected)
+    assert joint.projector.matrix.tobytes() == (pa.projector.matrix @ pb.projector.matrix).tobytes()
     assert joint.projector.label == "zA+&xB+"
 
 

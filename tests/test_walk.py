@@ -1,14 +1,26 @@
 """The batched walk of the event-prefix tree against the per-node walk it
 replaced (``oracles.per_node_walk``): the same chain kets bit for bit, and the
 same exhaustiveness verdict at every tolerance, on families of every shape
-the engine builds. Then the walk's record, read at several tolerances: the
-Heisenberg events a family computes on its first walk, the one number it
-keeps for exhaustiveness, ``max_residual``, and what it keeps of D."""
+the engine builds. Then what a family keeps from its walk, read at several
+tolerances, through three guarantees, each checked by one helper:
 
+* a family walks once, whatever is read and at whatever tol
+  (:func:`_assert_walks_once`, which counts propagators);
+* every read shares one read-only K and one probability array, which no
+  family made from it shares (:func:`_kept_arrays`);
+* exhaustiveness is one number, the dead-node rule reduced by
+  ``histories._max_residual`` (:func:`_reduction_inputs`).
+
+These tests read the walk through qhist's public names, and through two
+private seams only: that reduction and the pair search
+``histories._violating_pairs``."""
+
+import gc
 import itertools
 import math
 import random
-from dataclasses import fields, replace
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +33,6 @@ from qhist import histories
 from qhist.dynamics import Schedule, Segment, TimeGrid
 from qhist.frameworks import Proposition, query, refine
 from qhist.histories import (
-    _walk,
     chain_kets,
     check_consistency,
     collapse_family,
@@ -167,27 +178,25 @@ def test_batched_walk_equals_the_per_node_walk(name, fam):
 
 def _assert_walks_like_the_oracle(fam):
     kets = chain_kets(fam)
-    record = _walk(fam)
     for tol in TOLS:
         want_kets, want_exhaustive = oracles.per_node_walk(fam, tol)
         assert kets.dtype == want_kets.dtype and kets.shape == want_kets.shape
         assert kets.tobytes() == want_kets.tobytes()
-        assert (record.max_residual <= tol) is want_exhaustive, tol
         assert check_consistency(fam, tol).exhaustive is want_exhaustive, tol
 
 
 def _reduction_inputs(fam) -> tuple:
     """(norms, residuals, parent, starts): what the walk of a fresh copy of
     ``fam`` reduces to its ``max_residual``, namely the inner nodes' norms
-    and residuals, and that copy's own tree."""
+    and residuals, and the tree: node 0 is the root, node i's parent is
+    ``parent[i - 1]``, and ``starts`` holds the first id of each level and
+    the node count."""
     seen, fresh = [], replace(fam)
     reduce = histories._max_residual
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(histories, "_max_residual", lambda *args: seen.append(args) or reduce(*args))
-        _walk(fresh)
+        chain_kets(fresh)
     (inputs,) = seen
-    parent, _, starts = fresh._tree
-    assert inputs[2] is parent and inputs[3] is starts
     return inputs
 
 
@@ -198,27 +207,29 @@ def test_the_walk_families_reach_every_verdict():
     counts = dict.fromkeys(("exhaustive", "not exhaustive", "saved by dead nodes",
                             "consistent", "inconsistent"), 0)
     for _, fam in FAMILIES:
-        record = _walk(fam)
         residuals = _reduction_inputs(fam)[1]
         for tol in TOLS:
-            exhaustive = record.max_residual <= tol
-            counts["exhaustive" if exhaustive else "not exhaustive"] += 1
-            counts["saved by dead nodes"] += exhaustive and not (residuals <= tol).all()
-            consistent = check_consistency(fam, tol).consistent
-            counts["consistent" if consistent else "inconsistent"] += 1
+            report = check_consistency(fam, tol)
+            counts["exhaustive" if report.exhaustive else "not exhaustive"] += 1
+            counts["saved by dead nodes"] += report.exhaustive and not (residuals <= tol).all()
+            counts["consistent" if report.consistent else "inconsistent"] += 1
     assert all(counts.values()), counts
 
 
 def test_max_residual_is_the_exhaustiveness_threshold():
-    # the per-node walk is exhaustive at max_residual and not at the float
-    # below it: no other number would give the same verdict at every tol
+    # the per-node walk and the family's verdict are exhaustive at
+    # max_residual and not at the float below it: no other number would
+    # give the same verdict at every tol
     thresholds = 0
     for name, fam in FAMILIES:
-        largest = _walk(fam).max_residual
+        largest = histories._max_residual(*_reduction_inputs(fam))
         assert oracles.per_node_walk(fam, largest)[1], name
         if largest > 0:
             thresholds += 1
-            assert not oracles.per_node_walk(fam, np.nextafter(largest, 0))[1], name
+            below = math.nextafter(largest, 0.0)
+            assert check_consistency(fam, largest).exhaustive, name
+            assert not oracles.per_node_walk(fam, below)[1], name
+            assert not check_consistency(fam, below).exhaustive, name
     assert thresholds
 
 
@@ -244,12 +255,16 @@ def test_the_tree_numbers_nodes_level_by_level_in_first_appearance():
             [("a-", p[-1]), ("b+", p[1])],
             [("a+", p[1]), ("b-", p[-1])]]
     fam = family_from_event_table(oracles.ZP, _grid(2), Schedule.free(2), rows)
-    parent, code, starts = fam._tree
+    _, _, parent, starts = _reduction_inputs(fam)
     assert starts == (0, 1, 3, 6)
     assert parent.tolist() == [0, 0, 1, 2, 1]  # a+'s children are not adjacent
-    assert code.tolist() == [0, 1, 0, 0, 1]
-    assert parent.dtype == code.dtype == np.intp
-    assert list(fam._branches[1]) == ["b+", "b-"]
+    assert parent.dtype == np.intp
+    # each node carries its own event: the kets are the per-node walk's
+    assert chain_kets(fam).tobytes() == oracles.per_node_walk(fam, 1e-9)[0].tobytes()
+    # the events at t2 keep their order of first appearance: a query that
+    # commutes with neither names b+
+    x = Proposition(spin_projector(Direction(math.pi / 2, 0.0), 1), 2)
+    assert "with event 'b+' at time 2" in query(fam, x).reason
 
 
 def _record_family():
@@ -279,9 +294,9 @@ def test_one_record_answers_every_tolerance():
     others = np.delete(residuals, late)
     assert (others <= 1e-15).all()
     # the late residual counts up to the node's norm, where it dies
-    record = _walk(fam)
-    assert record.max_residual == norms[late]
-    assert record.max_residual == pytest.approx(1e-4, rel=1e-12)
+    largest = histories._max_residual(norms, residuals, parent, starts)
+    assert largest == norms[late]
+    assert largest == pytest.approx(1e-4, rel=1e-12)
     verdicts = {
         1e-12: False,   # the node is live and its residual fails
         5e-5: False,    # still live, still failing
@@ -289,7 +304,7 @@ def test_one_record_answers_every_tolerance():
         3e-4: True,     # the node is live, and its residual passes
     }
     for tol, exhaustive in verdicts.items():
-        assert (record.max_residual <= tol) is exhaustive, tol
+        assert (largest <= tol) is exhaustive, tol
         assert oracles.per_node_walk(fam, tol)[1] is exhaustive, tol
         assert check_consistency(fam, tol).exhaustive is exhaustive, tol
 
@@ -340,7 +355,7 @@ def test_every_residual_is_computed_past_a_failure():
     residuals = _reduction_inputs(cut)[1]
     assert np.isfinite(residuals).all()
     assert (residuals > 1e-3).sum() == 1 and (residuals > 1e-5).sum() == 2
-    assert not _walk(cut).max_residual <= 1.5e-4
+    assert not check_consistency(cut, 1.5e-4).exhaustive
 
 
 def _compiled_families() -> dict:
@@ -354,9 +369,19 @@ def _compiled_families() -> dict:
     }
 
 
-@pytest.mark.parametrize("name", ["eq29-unitary", "collapse-4", "z-ladder-4"])
-def test_a_family_propagates_each_event_time_once(monkeypatch, name):
-    fam = _compiled_families()[name]
+# every read of a family, at one tol; a history's event is a proposition
+READS = {
+    "check_consistency": lambda fam, tol: check_consistency(fam, tol),
+    "history_probability": lambda fam, tol: history_probability(fam.histories[0], fam, tol),
+    "query": lambda fam, tol: query(fam, fam.histories[0].events[-1], tol),
+    "chain_kets": lambda fam, tol: chain_kets(fam),
+}
+
+
+def _propagations(monkeypatch) -> list:
+    """The arguments of each propagator call from now on. Only a walk calls
+    ``histories.propagator`` (the traced ``dynamics.propagator``), once per
+    event time."""
     calls = []
 
     def counted(*args):
@@ -365,15 +390,51 @@ def test_a_family_propagates_each_event_time_once(monkeypatch, name):
 
     propagator = histories.propagator
     monkeypatch.setattr(histories, "propagator", counted)
+    return calls
+
+
+def _assert_walks_once(monkeypatch, fam, first: str):
+    """Read a fresh, consistent ``fam`` first by ``first``, then by every
+    read at every tol: only the first read walks, with one propagator per
+    event time, in order."""
+    calls = _propagations(monkeypatch)
+    READS[first](fam, 1e-9)
+    times = [fam.grid.time_at(k) for k in range(1, fam.grid.n_events + 1)]
+    assert [t for _, _, t in calls] == times
+    for tol in TOLS:
+        for read in READS.values():
+            read(fam, tol)
+    assert len(calls) == len(times)
+
+
+def _kept_arrays(fam) -> tuple:
+    """K and the probability array, which every read of ``fam`` shares: one
+    read-only K that owns its rows (a view of the walk's node array would
+    keep every inner node's ket alive), and one read-only probability array
+    at every tol."""
+    kets = chain_kets(fam)
+    probabilities = check_consistency(fam, TOLS[0]).probabilities
+    assert chain_kets(fam) is kets
+    assert all(check_consistency(fam, tol).probabilities is probabilities for tol in TOLS)
+    assert kets.shape == (len(fam.histories), fam.dim)
+    assert probabilities.shape == (len(fam.histories),)
+    for a in (kets, probabilities):
+        assert a.base is None and not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    return kets, probabilities
+
+
+@pytest.mark.parametrize("name", ["eq29-unitary", "collapse-4", "z-ladder-4"])
+def test_a_family_propagates_each_event_time_once(monkeypatch, name):
+    fam = _compiled_families()[name]
     tols = (1e-12, 1e-9, 0.3)
     reports = [check_consistency(fam, tol) for tol in tols]
     event = fam.histories[0].events[-1]
     probability = history_probability(fam.histories[0], fam)
     answer = query(fam, Proposition(event.projector, event.time_index))
     kets = chain_kets(fam)
-    assert len(calls) == fam.grid.n_events, name
     # every read saw the same K, and gave the verdicts of a first read
-    monkeypatch.setattr(histories, "propagator", propagator)
     assert [check_consistency(fam, tol) for tol in tols] == reports
     assert probability == reports[0].probabilities[0]
     weights = reports[0].probabilities.tolist()
@@ -385,19 +446,19 @@ def test_a_family_propagates_each_event_time_once(monkeypatch, name):
         assert report.exhaustive is want_exhaustive
         d = want_kets.conj() @ want_kets.T
         assert report.probabilities.tobytes() == d.diagonal().real.tobytes()
+    # and a fresh copy walked once to answer all of them
+    _assert_walks_once(monkeypatch, _compiled_families()[name], "check_consistency")
 
 
-def _kept_arrays(fam) -> tuple:
-    """Every array a walked family keeps."""
-    record = fam._walked
-    return record.kets, record.probabilities
+@pytest.mark.parametrize("first", READS)
+def test_only_a_family_s_first_read_forms_kets(monkeypatch, first):
+    _assert_walks_once(monkeypatch, _compiled_families()["collapse-4"], first)
 
 
 def test_families_made_from_a_walked_family_share_none_of_its_record():
     fam = _compiled_families()["collapse-4"]
     _assert_walks_like_the_oracle(fam)
-    record = fam._walked
-    assert record is not None
+    kept = _kept_arrays(fam)
     field = Segment(0.0, 4.0, 0.7 * spin_operator(Direction(2.0, 1.0)))
     derived = [
         replace(fam, schedule=Schedule(2, (field,))),
@@ -406,94 +467,71 @@ def test_families_made_from_a_walked_family_share_none_of_its_record():
         replace_events_with_identity(fam, 2),
         refine(fam, replace_events_with_identity(fam, 4)),
     ]
-    # refine checks its output
-    assert all(other._walked is None for other in derived[:-1])
     for other in derived:
         _assert_walks_like_the_oracle(other)
-        assert not any(np.shares_memory(a, b) for a in _kept_arrays(other)
-                       for b in _kept_arrays(fam))
-    assert fam._walked is record
-
-
-def test_the_kept_walk_record_is_read_only():
-    fam = _compiled_families()["collapse-4"]
-    record = _walk(fam)
-    assert fam._walked is record and _walk(fam) is record
-    assert check_consistency(fam, 0.3).probabilities is record.probabilities
-    # the walk is the family's one lazily filled field, and it keeps no
-    # per-node array but K and the probabilities
-    assert [f.name for f in fields(fam) if f.default is None] == ["_walked"]
-    assert [f.name for f in fields(record)] == [
-        "kets", "max_residual", "probabilities", "probability_sum", "max_offdiag"]
-    for a in _kept_arrays(fam):
-        assert not a.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            a[0] = 0
-    with pytest.raises(AttributeError):
-        fam._walked = None
-    with pytest.raises(AttributeError):
-        record.kets = record.kets.copy()
-    with pytest.raises(AttributeError):
-        record.max_offdiag = 0.0
-    with pytest.raises(AttributeError):
-        record.max_residual = 0.0
+        assert not any(np.shares_memory(a, b) for a in _kept_arrays(other) for b in kept)
+    assert all(a is b for a, b in zip(_kept_arrays(fam), kept))
 
 
 def test_chain_kets_returns_the_kept_read_only_k():
     fam = _compiled_families()["z-ladder-4"]
     kets = chain_kets(fam)
-    assert chain_kets(fam) is kets and _walk(fam).kets is kets
+    # the K of the first read is the one every later read keeps
+    check_consistency(fam, 0.3)
+    assert chain_kets(fam) is kets
     with pytest.raises(ValueError, match="read-only"):
         kets[0, 0] = 1.0
     assert kets.tobytes() == oracles.per_node_walk(fam, 1e-9)[0].tobytes()
 
 
 def test_k_owns_its_rows_and_keeps_no_inner_node():
-    # a view of the walk's node array would keep every inner node's ket alive
     for name, fam in FAMILIES:
-        kets = chain_kets(fam)
-        assert kets.base is None, name
-        assert not kets.flags.writeable, name
-        assert kets.shape == (len(fam.histories), fam.dim), name
+        kets, _ = _kept_arrays(fam)
+        assert kets.tobytes() == oracles.per_node_walk(fam, 1e-9)[0].tobytes(), name
 
 
-# every read of a family, at one tol; a history's event is a proposition
-READS = {
-    "check_consistency": lambda fam, tol: check_consistency(fam, tol),
-    "history_probability": lambda fam, tol: history_probability(fam.histories[0], fam, tol),
-    "query": lambda fam, tol: query(fam, fam.histories[0].events[-1], tol),
-    "chain_kets": lambda fam, tol: chain_kets(fam),
-}
+def test_a_walked_family_keeps_k_and_its_weights_only():
+    # 256 histories over 8 times, so 255 inner nodes: one more kept per-node
+    # array, such as their norms (2,040 B), would exceed the bound, while the
+    # record's object and its floats take well under its 1,536 B of slack
+    rows = list(_z_rows(8, Direction(1.1, 0.3)))
+
+    def family():
+        return family_from_event_table(oracles.ZP, _grid(8), Schedule.free(2), rows)
+
+    check_consistency(family(), 1e-9)  # allocations that only a first walk makes
+    fam = family()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        check_consistency(fam, 1e-9)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    kets, probabilities = _kept_arrays(fam)
+    assert kets.nbytes + probabilities.nbytes < kept <= kets.nbytes + probabilities.nbytes + 1536
 
 
-@pytest.mark.parametrize("first", READS)
-def test_only_a_family_s_first_read_forms_kets(monkeypatch, first):
+def test_the_kept_walk_record_is_read_only():
     fam = _compiled_families()["collapse-4"]
-    calls = []
-
-    def counted(v):
-        calls.append(len(v))
-        return norms(v)
-
-    norms = histories._norms
-    monkeypatch.setattr(histories, "_norms", counted)
-    READS[first](fam, 1e-9)
-    assert len(calls) == 2  # the inner nodes' norms and residuals, once
-    for tol in TOLS:
-        for read in READS.values():
-            read(fam, tol)
-    assert len(calls) == 2
+    kets, probabilities = _kept_arrays(fam)
+    with pytest.raises(AttributeError):
+        fam.histories = fam.histories[:1]
+    # a refused write leaves every read as it was
+    assert chain_kets(fam) is kets and check_consistency(fam, 0.3).probabilities is probabilities
 
 
 def test_a_re_read_family_still_walks_like_the_oracle():
     for name, fam in FAMILIES:
         reports = [check_consistency(fam, tol) for tol in TOLS]
-        record = fam._walked
+        kets, probabilities = _kept_arrays(fam)
         for tol, report in zip(TOLS, reports):
             want_kets, want_exhaustive = oracles.per_node_walk(fam, tol)
             again = check_consistency(fam, tol)
-            assert again == report and fam._walked is record, name
-            assert chain_kets(fam).tobytes() == want_kets.tobytes(), name
+            assert again == report and again.probabilities is probabilities, name
+            assert chain_kets(fam) is kets and kets.tobytes() == want_kets.tobytes(), name
             assert again.exhaustive is want_exhaustive, (name, tol)
 
 
@@ -513,34 +551,39 @@ def _pair_searches(monkeypatch) -> list:
 @pytest.mark.parametrize("first", ["check_consistency", "history_probability", "query"])
 def test_only_a_consistent_family_s_first_check_forms_d(monkeypatch, first):
     fam = _compiled_families()["collapse-4"]
-    calls = _pair_searches(monkeypatch)
+    searches = _pair_searches(monkeypatch)
+    walks = _propagations(monkeypatch)
     READS[first](fam, 1e-9)
-    record = fam._walked
     for tol in (1e-9, 1e-3):
+        READS["check_consistency"](fam, tol)
         READS["history_probability"](fam, tol)
         assert READS["query"](fam, tol).meaningful
     # D was formed once, by the first read's walk, and no check searched it
-    assert calls == [] and fam._walked is record
-    assert 0.0 <= record.max_offdiag <= 1e-9
+    assert searches == [] and len(walks) == fam.grid.n_events
 
 
 def test_a_re_check_below_the_largest_entry_lists_its_pairs(monkeypatch):
     fam = build_scenario(builtin_scenario("eq23")).families[0][1]
     assert check_consistency(fam, 0.3).consistent  # |D(1, 3)| = |D(2, 4)| = 0.25
-    assert fam._walked.max_offdiag == 0.25
     calls = _pair_searches(monkeypatch)
-    for tol in (0.25, 0.2499, 1e-9):
+    below = math.nextafter(0.25, 0.0)
+    for tol in (0.25, below, 1e-9):
         report = check_consistency(fam, tol)
         want = check_consistency(build_scenario(builtin_scenario("eq23")).families[0][1], tol)
         _assert_same_report(report, want)
         assert report.consistent is (tol == 0.25)
-    # the kept family and the fresh ones alike search only below 0.25
-    assert calls == [0.2499, 0.2499, 1e-9, 1e-9]
+    # the largest entry is 0.25: the kept family and the fresh ones alike
+    # search only below it
+    assert calls == [below, below, 1e-9, 1e-9]
     kets = chain_kets(fam)
     pairs = check_consistency(fam, 1e-9).violating_pairs
     assert [(i, j) for i, j, _ in pairs] == [(1, 3), (2, 4)]
+    _assert_pairs_like_the_oracle(pairs, kets.conj() @ kets.T, 1e-9)
+
+
+def _assert_pairs_like_the_oracle(pairs, overlaps, tol):
     for column, expected in zip((pairs.i, pairs.j, pairs.overlaps),
-                                oracles.violating_pairs(kets.conj() @ kets.T, 1e-9)):
+                                oracles.violating_pairs(overlaps, tol)):
         assert column.tobytes() == expected.tobytes()
 
 
@@ -562,43 +605,44 @@ def _assert_same_report(got, want):
     assert _machine(got) == _machine(want)
 
 
-# eight histories over three times, for drawn chain kets of one spin
+# eight histories over three times, for drawn propagators of one spin
 _ROWS = list(_z_rows(3, Direction(1.1, 0.3)))
-# parts of a drawn ket entry: zero, round-off to order one, and non-finite
-_KET_PARTS = (0.0, 1e-12, 1e-6, 1e-3, 0.1, 0.7, math.nan, math.inf)
+# parts of a drawn propagator entry: zero, round-off to order one, and non-finite
+_ENTRY_PARTS = (0.0, 1e-12, 1e-6, 1e-3, 0.1, 0.7, math.nan, math.inf)
 _CHECK_TOLS = (1e-12, 1e-9, 1e-5, 1e-3, 0.1, 0.5, 2.0)
 
 
 @st.composite
-def _kept_checks(draw):
-    """Chain kets for N = 1..8 histories, finite in half the draws, and a
-    sequence of tols around the largest |D(i, j)| over i < j, with that
-    entry and its neighbouring floats among them."""
+def _propagators(draw):
+    """N = 1..8 histories, and the 2 x 2 matrix a patched propagator returns
+    at each of the three event times: finite in half the draws."""
     n = draw(st.integers(1, len(_ROWS)))
-    parts = _KET_PARTS if draw(st.booleans()) else _KET_PARTS[:-2]
+    parts = _ENTRY_PARTS if draw(st.booleans()) else _ENTRY_PARTS[:-2]
     entries = [complex(*(draw(st.sampled_from(parts)) * draw(st.sampled_from((1, -1)))
-                         for _ in range(2))) for _ in range(2 * n)]
-    kets = np.array(entries, dtype=complex).reshape(n, 2)
-    kets.setflags(write=False)
-    tols = list(_CHECK_TOLS)
-    with np.errstate(invalid="ignore", over="ignore"):
-        largest = float(np.triu(np.abs(kets.conj() @ kets.T), 1).max())
-    if 0.0 < largest < math.inf:
-        tols += [largest, math.nextafter(largest, 0.0), math.nextafter(largest, math.inf)]
-    return n, kets, draw(st.lists(st.sampled_from(tols), min_size=1, max_size=6))
+                         for _ in range(2))) for _ in range(3 * 4)]
+    return n, np.array(entries, dtype=complex).reshape(3, 2, 2)
 
 
 @settings(max_examples=200, deadline=None)
-@given(_kept_checks())
-def test_a_kept_family_checks_like_a_fresh_one_at_every_tol(case):
-    n, kets, tols = case
+@given(_propagators(), st.data())
+def test_a_kept_family_checks_like_a_fresh_one_at_every_tol(case, data):
+    # a sequence of tols around the largest |D(i, j)| over i < j, with that
+    # entry and its neighbouring floats among them
+    n, matrices = case
 
     def family():
-        fam = family_from_event_table(oracles.ZP, _grid(3), Schedule.free(2), _ROWS[:n])
-        object.__setattr__(fam, "_walked", replace(_walk(fam), kets=kets))
-        return fam
+        return family_from_event_table(oracles.ZP, _grid(3), Schedule.free(2), _ROWS[:n])
 
-    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 in D
+    with pytest.MonkeyPatch.context() as patch, np.errstate(invalid="ignore", over="ignore"):
+        patch.setattr(histories, "propagator", lambda schedule, t0, t: matrices[int(t) - 1])
         kept = family()
-        for tol in tols:
-            _assert_same_report(check_consistency(kept, tol), check_consistency(family(), tol))
+        kets = chain_kets(kept)
+        overlaps = kets.conj() @ kets.T  # inf * 0 in D
+        tols = list(_CHECK_TOLS)
+        largest = float(np.triu(np.abs(overlaps), 1).max())
+        if 0.0 < largest < math.inf:
+            tols += [largest, math.nextafter(largest, 0.0), math.nextafter(largest, math.inf)]
+        for tol in data.draw(st.lists(st.sampled_from(tols), min_size=1, max_size=6)):
+            report = check_consistency(kept, tol)
+            _assert_same_report(report, check_consistency(family(), tol))
+            _assert_pairs_like_the_oracle(report.violating_pairs, overlaps, tol)
